@@ -79,7 +79,9 @@ _PRIME_POOL = _primes(64)
 
 def draw_theta_ref(params: list, rng: random.Random) -> dict:
     """Distinct random primes, one per parameter."""
-    picks = rng.sample(_PRIME_POOL, len(params))
+    q = len(params)
+    pool = _PRIME_POOL if q <= len(_PRIME_POOL) else _primes(2 * q)
+    picks = rng.sample(pool, q)
     return {p: Fraction(v) for p, v in zip(params, picks)}
 
 
@@ -122,20 +124,20 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
 def _classify_parameter(gens: list, params: list, target: Indeterminate,
                         theta_ref: dict | None,
                         pair_budget: int, degree_budget: int) -> tuple:
-    """(ParamStatus, elimination polynomial text or None)."""
+    """(ParamStatus, elimination polynomial text or None, GroebnerBasis)."""
     seq = [p for p in params if p != target] + [target]
     order = MonomialOrder.lex(seq)
     gb = groebner_basis(gens, order, pair_budget, degree_budget)
     uni = univariate_members(gb, target)
     uni = [g for g in uni if g.degree() >= 1]
     if not uni:
-        return ParamStatus(NON_IDENTIFIABLE), None
+        return ParamStatus(NON_IDENTIFIABLE), None, gb
     g = min(uni, key=lambda u: u.degree())
     d = g.degree()
     if d == 1:
         _check_root(g, target, theta_ref)
-        return ParamStatus(GLOBAL), gpoly_text(g)
-    return ParamStatus(LOCAL, d), gpoly_text(g)
+        return ParamStatus(GLOBAL), gpoly_text(g), gb
+    return ParamStatus(LOCAL, d), gpoly_text(g), gb
 
 
 def _check_root(g, target: Indeterminate, theta_ref: dict | None):
@@ -191,22 +193,21 @@ def classify(summary: ExhaustiveSummary, params: list, mode: str = "numeric",
                           {p.base: str(v) for p, v in theta_ref.items()}),
             "generators": [repr(g) for g in gens],
         }
-        try:
-            full = groebner_basis(gens, MonomialOrder.lex(params),
-                                  pair_budget, degree_budget)
-            trial_ev["basis"] = full.texts()
-        except BudgetExceeded as exc:
-            trial_ev["basis_error"] = str(exc)
         statuses = {}
         elim = {}
         for p in params:
             try:
-                st, poly_text_ = _classify_parameter(
+                st, poly_text_, gb = _classify_parameter(
                     gens, params, p, theta_ref, pair_budget, degree_budget)
             except BudgetExceeded as exc:
-                st, poly_text_ = ParamStatus(UNDETERMINED), str(exc)
+                st, poly_text_, gb = ParamStatus(UNDETERMINED), str(exc), None
             statuses[p.base] = st
             elim[p.base] = poly_text_
+        # the last parameter is eliminated under lex(params): the trial's basis
+        if gb is None:
+            trial_ev["basis_error"] = poly_text_
+        else:
+            trial_ev["basis"] = gb.texts()
         trial_ev["elimination"] = elim
         trial_ev["statuses"] = {k: v.render() for k, v in statuses.items()}
         evidence.append(trial_ev)

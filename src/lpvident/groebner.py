@@ -130,7 +130,6 @@ def _lcm(a: tuple, b: tuple) -> tuple:
 def reduce_gpoly(f: GPoly, basis: list) -> GPoly:
     """Full normal form of f modulo basis (leading and tail reduction)."""
     order = f.order
-    key = order.key()
     remainder: dict = {}
     work = GPoly(dict(f.terms), order)
     while not work.is_zero():

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from .errors import (EmptyNullspace, NoParameterDependence, StateNotEliminated)
 from .indets import Kind, Role
 from .expr import Expression, collect_expr
-from .poly import Monomial, Polynomial, mono_cmp, normalize_primitive
-import functools
+from .poly import Monomial, Polynomial, mono_key, normalize_primitive
 
 from .stacking import StackedSystem
 
@@ -50,8 +49,7 @@ def _monomial_rank(m: Monomial) -> tuple:
     """Rank key for choosing the normalizer monomial (max wins)."""
     out_order = max((v.order for v, _ in m
                      if v.kind is Kind.SIGNAL and v.role is Role.OUTPUT), default=-1)
-    degree = sum(e for _, e in m)
-    return (out_order, degree, functools.cmp_to_key(mono_cmp)(m))
+    return (out_order, mono_key(m))
 
 
 def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:

@@ -11,7 +11,6 @@ sign normalization and elimination pivot tie-breaks.
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -62,30 +61,15 @@ def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out, key=lambda p: p[0].sort_key))
 
 
-def mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Canonical degrevlex compare: 1 if a > b, -1 if a < b, 0 if equal."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    # reverse-lex tie-break: scan from the smallest indeterminate upward;
-    # at the first difference the monomial with the smaller exponent wins
-    ia, ib = 0, 0
-    while ia < len(a) or ib < len(b):
-        ka = a[ia][0].sort_key if ia < len(a) else None
-        kb = b[ib][0].sort_key if ib < len(b) else None
-        if kb is None or (ka is not None and ka < kb):
-            return -1  # a has extra weight on a smaller var -> a smaller
-        if ka is None or kb < ka:
-            return 1
-        ea, eb = a[ia][1], b[ib][1]
-        if ea != eb:
-            return -1 if ea > eb else 1
-        ia += 1
-        ib += 1
-    return 0
+def mono_key(m: Monomial) -> tuple:
+    """Sort key of the canonical degrevlex order (larger key, larger term).
 
-
-_mono_key = functools.cmp_to_key(mono_cmp)
+    Reverse-lex compares from the smallest indeterminate up, and the smaller
+    exponent wins; monomials store ascending indeterminates, so negated
+    exponents and natural tuple order do it.  Equal-degree monomials that
+    agree on a prefix cannot end there, so tuple length never decides.
+    """
+    return (mono_degree(m), tuple((v.sort_key, -e) for v, e in m))
 
 
 class Polynomial:
@@ -161,13 +145,13 @@ class Polynomial:
 
     def sorted_terms(self) -> list:
         """Terms sorted descending under the canonical order."""
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the canonical leading term."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        m = max(self.terms, key=_mono_key)
+        m = max(self.terms, key=mono_key)
         return m, self.terms[m]
 
     # --- ring arithmetic ---
@@ -535,22 +519,11 @@ class MonomialOrder:
     def degrevlex(variables) -> "MonomialOrder":
         return MonomialOrder("degrevlex", tuple(variables))
 
-    def cmp(self, a: tuple, b: tuple) -> int:
-        if a == b:
-            return 0
-        if self.kind == "lex":
-            return 1 if a > b else -1
-        da, db = sum(a), sum(b)
-        if da != db:
-            return 1 if da > db else -1
-        for ea, eb in zip(reversed(a), reversed(b)):
-            if ea != eb:
-                return 1 if ea < eb else -1
-        return 0
-
     def key(self):
-        import functools
-        return functools.cmp_to_key(self.cmp)
+        """Sort key on aligned exponent tuples (larger key, larger term)."""
+        if self.kind == "lex":
+            return tuple
+        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
 
 
 # --- printing ---

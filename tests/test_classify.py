@@ -1,5 +1,6 @@
 """Verdicts from the exhaustive summary: Groebner and Jacobian engines."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from lpvident.classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
 from lpvident.elimination import left_nullspace
 from lpvident.errors import DenominatorVanishesAtTheta
 from lpvident.expr import Expression
+from lpvident.groebner import groebner_basis
 from lpvident.iop import ExhaustiveSummary, extract_summary, form_iop
-from lpvident.poly import Polynomial, poly_text
+from lpvident.indets import parameter
+from lpvident.poly import MonomialOrder, Polynomial, poly_text
 from lpvident.stacking import build_stack
 
 
@@ -84,6 +87,35 @@ def test_evidence_records_bases(shared_gain):
                                  "theta3": "Global"}
     assert set(trial["elimination"]) == {"theta1", "theta2", "theta3"}
     assert trial["elimination"]["theta2"] == "theta2^2 - b^2"
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_one_basis_per_parameter_and_trial(goldens, mode, monkeypatch):
+    # the package re-exports the function classify under the module's name
+    classify_mod = importlib.import_module("lpvident.classify")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "groebner_basis", counted)
+    for name in ("shared_gain", "air_handling_unit"):
+        _, summ, params = _summary(goldens[name])
+        calls.clear()
+        v = classify(summ, params, mode=mode, trials=3)
+        # one elimination basis per parameter and trial, and nothing more
+        assert [o.variables[-1] for o in calls] == params * v.trials, name
+        for trial in v.evidence:
+            if mode == "symbolic":
+                gens = evaluate_summary(summ, params)
+            else:
+                ref = {p: Fraction(trial["theta_ref"][p.base]) for p in params}
+                gens = evaluate_summary(summ, params, ref)
+            # the trial's basis is the lex(params) basis of its generators
+            full = groebner_basis(gens, MonomialOrder.lex(params))
+            assert trial["basis"] == full.texts(), name
+            assert "basis_error" not in trial
 
 
 def test_evaluate_summary_symbolic_differences(shared_gain):
@@ -159,6 +191,18 @@ def test_draw_theta_ref_distinct_primes(air_handling_unit):
         assert v.denominator == 1
         n = int(v)
         assert n >= 2 and all(n % d for d in range(2, n))
+
+
+def test_draw_theta_ref_beyond_prime_pool():
+    params = [parameter(f"theta{i}", i) for i in range(1, 66)]
+    vals = list(draw_theta_ref(params, random.Random(0)).values())
+    assert len(set(vals)) == 65
+    for v in vals:
+        n = int(v)
+        assert v.denominator == 1 and n >= 2 and all(n % d for d in range(2, n))
+    # small q keeps the fixed pool, so existing draws do not move
+    three = draw_theta_ref(params[:3], random.Random(0))
+    assert [str(v) for v in three.values()] == ["229", "251", "13"]
 
 
 def test_denominator_vanishes_at_reference():

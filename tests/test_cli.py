@@ -131,6 +131,11 @@ def test_classification_budget_exhaustion_exit_3(capsys):
                                 "--pair-budget", "1")
     assert code == 3
     assert report["verdict"]["model"] == "Undetermined"
+    last = report["model"]["params"][-1]
+    for trial in report["verdict"]["evidence"]:
+        # the trial's basis is the last parameter's elimination basis
+        assert trial["basis_error"] == trial["elimination"][last]
+        assert "pair budget 1" in trial["basis_error"]
 
 
 def test_nonpositive_budget_rejected(capsys):

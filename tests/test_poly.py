@@ -7,9 +7,10 @@ import pytest
 
 from lpvident.errors import (ExactDivisionError, UnboundIndeterminate,
                              ZeroPolynomialError)
-from lpvident.indets import Role, parameter, signal
+from lpvident.indets import Role, parameter, ref_parameter, signal
 from lpvident.poly import (MonomialOrder, Polynomial, collect, exact_div,
-                           normalize_primitive, poly_gcd, poly_lcm, poly_text)
+                           mono_key, normalize_primitive, poly_gcd, poly_lcm,
+                           poly_text)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -238,6 +239,32 @@ def test_monomial_order_laws():
     grl = MonomialOrder.degrevlex([TH1, TH2, TH3]).key()
     assert grl((0, 3, 0)) > grl((1, 0, 1))      # degree first
     assert grl((1, 1, 0)) > grl((1, 0, 1))      # revlex tie-break
+
+
+def test_mono_key_matches_aligned_degrevlex():
+    # the canonical order on (indeterminate, exponent) monomials and the
+    # degrevlex MonomialOrder on exponent tuples are one order
+    variables = sorted(
+        [TH1, TH2, TH3, ref_parameter(1), ref_parameter(2), U, U.with_order(1),
+         Y, Y.with_order(2), X2, signal("rho", Role.SCHEDULING)],
+        key=lambda v: v.sort_key, reverse=True)
+    grl = MonomialOrder.degrevlex(variables).key()
+    rng = random.Random(7)
+
+    def rand_mono():
+        exps = [rng.choice((0, 0, 0, 1, 2, 3)) for _ in variables]
+        m = tuple(sorted(((v, e) for v, e in zip(variables, exps) if e),
+                         key=lambda p: p[0].sort_key))
+        return m, tuple(exps)
+
+    for _ in range(3000):
+        (a, ea), (b, eb) = rand_mono(), rand_mono()
+        if rng.random() < 0.2:  # equal monomials must give equal keys
+            b, eb = a, ea
+        want = (grl(ea) > grl(eb)) - (grl(ea) < grl(eb))
+        assert (mono_key(a) > mono_key(b)) - (mono_key(a) < mono_key(b)) == want
+    assert mono_key(()) < mono_key(((TH1, 1),)) < mono_key(((U, 1),))
+    assert mono_key(((TH1, 1), (U, 1))) < mono_key(((U, 2),))  # revlex tie
 
 
 def test_lex_order_eliminates_leading_variables():
