@@ -29,8 +29,7 @@ from .poly import (MonomialOrder, Polynomial, collect, exact_div,
                    normalize_primitive, poly_gcd, poly_lcm, poly_text)
 from .stacking import StackedSystem, binom_schedule, build_stack
 from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
-                     discrete_trajectory_check, find_witness,
-                     indistinguishability_witness, output_closure,
+                     discrete_trajectory_check, output_closure,
                      stack_substitution_check)
 
 __version__ = "0.1.0"
@@ -49,8 +48,8 @@ __all__ = [
     "affine_decompose", "backsubstitute_check", "binom_schedule",
     "build_stack", "classify", "clear_denominators", "collect",
     "discrete_trajectory_check", "draw_theta_ref", "evaluate_summary",
-    "exact_div", "expr_text", "extract_summary", "find_witness", "form_iop",
-    "groebner_basis", "indistinguishability_witness", "is_groebner",
+    "exact_div", "expr_text", "extract_summary", "form_iop",
+    "groebner_basis", "is_groebner",
     "jacobian_local_test", "left_nullspace", "main", "normalize_primitive",
     "output_closure", "parameter", "parse_model", "poly_gcd", "poly_lcm",
     "poly_text", "print_model", "rank", "rank_rational", "reduce_gpoly",

@@ -3,141 +3,90 @@
 Back-substitution rebuilds each output derivative or shift directly from
 the state equations and substitutes it into the I-O-P equations; the result
 must cancel to exactly zero, which certifies state elimination without
-reusing any null-space computation.  For discrete models an exact rational
-trajectory provides a second, purely numeric oracle.  Witness checks
-evaluate the exhaustive summary at two parameter points.
+reusing any null-space computation.  The stack check substitutes the same
+closure into every row of the stacked system.  For discrete models a
+second, purely numeric oracle evaluates each equation on independent
+(w+1)-step exact rational trajectory segments from fresh random states.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorVanishes, LpvIdentError
-from .expr import E_ZERO, Expression, expr_text
-from .indets import Indeterminate, Kind, Role, signal
-from .iop import ExhaustiveSummary, IopSet
+from .expr import E_ZERO, Expression
+from .indets import Kind, Role
+from .iop import IopSet
 from .model import LpvModel
-from .poly import Polynomial
 from .stacking import StackedSystem
 
 
-def _entry_exprs(mat) -> list:
-    return [e for row in mat for e in row]
+def _affine(M, N, xs: list, us: list) -> list:
+    """Rows of M xs + N us over expressions."""
+    return [sum((e * v for e, v in zip(m_row + n_row, xs + us)), E_ZERO)
+            for m_row, n_row in zip(M, N)]
 
 
 def _output_free_matrices(model: LpvModel) -> dict:
     """Replace order-0 outputs in entries by C x + D u expressions."""
-    for e in _entry_exprs(model.C) + _entry_exprs(model.D):
-        if any(v.role is Role.OUTPUT for v in e.indeterminates()
-               if v.kind is Kind.SIGNAL):
-            raise LpvIdentError(
-                "outputs inside C or D entries are not supported by the verifier")
-    states = [Expression(Polynomial.var(s)) for s in model.states()]
-    inputs = [Expression(Polynomial.var(u)) for u in model.inputs()]
-    y0 = []
-    for i in range(model.p):
-        acc = E_ZERO
-        for j, xs in enumerate(states):
-            acc = acc + model.C[i][j] * xs
-        for j, us in enumerate(inputs):
-            acc = acc + model.D[i][j] * us
-        y0.append(acc)
-    ymap = {signal(name, Role.OUTPUT): y0[i]
-            for i, name in enumerate(model.output_names)}
-
-    def scrub(mat):
-        out = []
-        for row in mat:
-            new_row = []
-            for e in row:
-                if any(v in ymap for v in e.indeterminates()):
-                    e = e.substitute({v: ymap[v] for v in e.indeterminates()
-                                      if v in ymap})
-                new_row.append(e)
-            out.append(tuple(new_row))
-        return tuple(out)
-
-    return {"A": scrub(model.A), "B": scrub(model.B),
-            "C": scrub(model.C), "D": scrub(model.D)}
+    if any(v.kind is Kind.SIGNAL and v.role is Role.OUTPUT
+           for row in model.C + model.D for e in row for v in e.indeterminates()):
+        raise LpvIdentError(
+            "outputs inside C or D entries are not supported by the verifier")
+    y0 = _affine(model.C, model.D, [Expression.var(s) for s in model.states()],
+                 [Expression.var(u) for u in model.inputs()])
+    ymap = dict(zip(model.outputs(), y0))
+    return {k: _subst_matrix(getattr(model, k), ymap) for k in "ABCD"}
 
 
 def output_closure(model: LpvModel, max_order: int) -> dict:
-    """Map output indeterminates y^(j), j <= max_order, to expressions in
-    states (order 0), inputs and scheduling signals only."""
+    """Map output indeterminates y^(j), j <= max_order, and state
+    indeterminates x^(j), 1 <= j <= max_order, to expressions in states
+    (order 0), inputs and scheduling signals only."""
     mats = _output_free_matrices(model)
     states = model.states()
     inputs = model.inputs()
-    x_exprs = [Expression(Polynomial.var(s)) for s in states]
+    outputs = model.outputs()
+    Xj = [Expression.var(s) for s in states]
     closure: dict = {}
 
     if model.discrete:
-        Xj = x_exprs
         for j in range(max_order + 1):
-            shifted = {"A": mats["A"], "B": mats["B"],
-                       "C": mats["C"], "D": mats["D"]}
-            if j:
-                shifted = {k: tuple(tuple(_nshift(e, j) for e in row)
-                                    for row in mats[k]) for k in mats}
             # at j = 0 the order-0 states already are the closure variables
-            bind = ({s.with_order(j): Xj[i] for i, s in enumerate(states)}
-                    if j else {})
-            Cj = _subst_matrix(shifted["C"], bind)
-            Dj = _subst_matrix(shifted["D"], bind)
-            for o in range(model.p):
-                acc = E_ZERO
-                for i in range(model.n):
-                    acc = acc + Cj[o][i] * Xj[i]
-                for i in range(model.m):
-                    acc = acc + Dj[o][i] * Expression(
-                        Polynomial.var(inputs[i].with_order(j)))
-                closure[signal(model.output_names[o], Role.OUTPUT, j)] = acc
+            bind = {s.with_order(j): x for s, x in zip(states, Xj)} if j else {}
+            closure.update(bind)
+            us = [Expression.var(u.with_order(j)) for u in inputs]
+            Yj = _affine(_shifted(mats["C"], j, bind),
+                         _shifted(mats["D"], j, bind), Xj, us)
+            closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
             if j < max_order:
-                Aj = _subst_matrix(shifted["A"], bind)
-                Bj = _subst_matrix(shifted["B"], bind)
-                nxt = []
-                for i in range(model.n):
-                    acc = E_ZERO
-                    for l in range(model.n):
-                        acc = acc + Aj[i][l] * Xj[l]
-                    for l in range(model.m):
-                        acc = acc + Bj[i][l] * Expression(
-                            Polynomial.var(inputs[l].with_order(j)))
-                    nxt.append(acc)
-                Xj = nxt
+                Xj = _affine(_shifted(mats["A"], j, bind),
+                             _shifted(mats["B"], j, bind), Xj, us)
         return closure
 
-    # continuous: close derivatives over xdot = A x + B u
-    xdot = []
-    for i in range(model.n):
-        acc = E_ZERO
-        for l in range(model.n):
-            acc = acc + mats["A"][i][l] * x_exprs[l]
-        for l in range(model.m):
-            acc = acc + mats["B"][i][l] * Expression(Polynomial.var(inputs[l]))
-        xdot.append(acc)
-    dot_bind = {s.with_order(1): xdot[i] for i, s in enumerate(states)}
+    # continuous: total derivatives over xdot = A x + B u
+    us = [Expression.var(u) for u in inputs]
+    xdot = _affine(mats["A"], mats["B"], Xj, us)
+    dot_bind = {s.with_order(1): d for s, d in zip(states, xdot)}
 
     def total_d(e: Expression) -> Expression:
-        d = e.differentiate()
-        hit = {v: dot_bind[v] for v in d.indeterminates() if v in dot_bind}
-        return d.substitute(hit) if hit else d
+        return _subst(e.differentiate(), dot_bind)
 
-    Yj = []
-    for o in range(model.p):
-        acc = E_ZERO
-        for i in range(model.n):
-            acc = acc + mats["C"][o][i] * x_exprs[i]
-        for i in range(model.m):
-            acc = acc + mats["D"][o][i] * Expression(Polynomial.var(inputs[i]))
-        Yj.append(acc)
+    Yj = _affine(mats["C"], mats["D"], Xj, us)
     for j in range(max_order + 1):
-        for o in range(model.p):
-            closure[signal(model.output_names[o], Role.OUTPUT, j)] = Yj[o]
-        if j < max_order:
+        if j:
+            Xj = [total_d(e) for e in Xj]
             Yj = [total_d(e) for e in Yj]
+            closure.update((s.with_order(j), x) for s, x in zip(states, Xj))
+        closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
     return closure
+
+
+def _shifted(mat, times: int, bind: dict):
+    """Entries shifted `times` times, then substituted from bind."""
+    return _subst_matrix(tuple(tuple(_nshift(e, times) for e in row)
+                               for row in mat), bind)
 
 
 def _nshift(e: Expression, times: int) -> Expression:
@@ -146,17 +95,16 @@ def _nshift(e: Expression, times: int) -> Expression:
     return e
 
 
+def _subst(e: Expression, bind: dict) -> Expression:
+    """Substitute the indeterminates of e that bind maps."""
+    hit = {v: bind[v] for v in e.indeterminates() if v in bind}
+    return e.substitute(hit) if hit else e
+
+
 def _subst_matrix(mat, bind: dict):
     if not bind:
         return mat
-    out = []
-    for row in mat:
-        new_row = []
-        for e in row:
-            hit = {v: bind[v] for v in e.indeterminates() if v in bind}
-            new_row.append(e.substitute(hit) if hit else e)
-        out.append(tuple(new_row))
-    return tuple(out)
+    return tuple(tuple(_subst(e, bind) for e in row) for row in mat)
 
 
 @dataclass
@@ -173,77 +121,25 @@ def backsubstitute_check(model: LpvModel, iop: IopSet) -> BacksubReport:
             if v.kind is Kind.SIGNAL and v.role is Role.OUTPUT:
                 max_order = max(max_order, v.order)
     closure = output_closure(model, max_order)
-    residuals = []
-    for psi in iop.equations:
-        bind = {v: closure[v] for v in psi.indeterminates() if v in closure}
-        res = Expression(psi).substitute(bind) if bind else Expression(psi)
-        residuals.append(res)
+    residuals = [_subst(Expression(psi), closure) for psi in iop.equations]
     return BacksubReport(all(r.is_zero() for r in residuals), residuals)
 
 
 def stack_substitution_check(model: LpvModel, stack: StackedSystem) -> bool:
-    """Row-wise: Y0 + G U - O X vanishes under the model dynamics."""
-    max_order = stack.order + 1
-    closure = output_closure(model, max_order)
-    # state stack closure: x^(j) expressions
-    mats = _output_free_matrices(model)
-    states = model.states()
-    inputs = model.inputs()
-    x_exprs = [Expression(Polynomial.var(s)) for s in states]
-    xmaps = [x_exprs]
-    if model.discrete:
-        for j in range(stack.order):
-            bind = ({s.with_order(j): xmaps[j][i] for i, s in enumerate(states)}
-                    if j else {})
-            Aj = _subst_matrix(tuple(tuple(_nshift(e, j) for e in row)
-                                     for row in mats["A"]), bind)
-            Bj = _subst_matrix(tuple(tuple(_nshift(e, j) for e in row)
-                                     for row in mats["B"]), bind)
-            nxt = []
-            for i in range(model.n):
-                acc = E_ZERO
-                for l in range(model.n):
-                    acc = acc + Aj[i][l] * xmaps[j][l]
-                for l in range(model.m):
-                    acc = acc + Bj[i][l] * Expression(
-                        Polynomial.var(inputs[l].with_order(j)))
-                nxt.append(acc)
-            xmaps.append(nxt)
-    else:
-        xdot = []
-        for i in range(model.n):
-            acc = E_ZERO
-            for l in range(model.n):
-                acc = acc + mats["A"][i][l] * x_exprs[l]
-            for l in range(model.m):
-                acc = acc + mats["B"][i][l] * Expression(Polynomial.var(inputs[l]))
-            xdot.append(acc)
-        dot_bind = {s.with_order(1): xdot[i] for i, s in enumerate(states)}
-        for j in range(stack.order):
-            nxt = []
-            for e in xmaps[j]:
-                d = e.differentiate()
-                hit = {v: dot_bind[v] for v in d.indeterminates() if v in dot_bind}
-                nxt.append(d.substitute(hit) if hit else d)
-            xmaps.append(nxt)
+    """Row-wise: Y0 + G U - O X vanishes under the model dynamics.
 
-    bind = dict(closure)
-    for j, xm in enumerate(xmaps):
-        if j == 0:
-            continue  # order-0 states stay free symbols
-        for i, s in enumerate(states):
-            bind[s.with_order(j)] = xm[i]
-
+    The stack at order w holds y^(0..w) and x^(0..w), with A and B shifted
+    or differentiated at most w - 1 times, so the order-w closure covers it.
+    """
+    closure = output_closure(model, stack.order)
     known = stack.known_side()
     for r in range(stack.rows):
         acc = known[r]
         for c, xvar in enumerate(stack.X):
             o = stack.O[r][c]
             if not o.is_zero():
-                acc = acc - o * Expression(Polynomial.var(xvar))
-        hit = {v: bind[v] for v in acc.indeterminates() if v in bind}
-        res = acc.substitute(hit) if hit else acc
-        if not res.is_zero():
+                acc = acc - o * Expression.var(xvar)
+        if not _subst(acc, closure).is_zero():
             return False
     return True
 
@@ -257,126 +153,62 @@ class TrajectoryReport:
 
 def discrete_trajectory_check(model: LpvModel, iop: IopSet, theta: dict,
                               steps: int = 8, seed: int = 0) -> TrajectoryReport:
-    """Iterate the exact rational dynamics and evaluate each equation on
-    every window of the produced signals; residuals must be exactly zero."""
+    """Evaluate each equation on steps - w windows; residuals must be
+    exactly zero.
+
+    Each window is its own exact rational trajectory segment of w + 1 steps
+    from a fresh random state, inputs and scheduling values.  Every segment
+    is a trajectory of the time-invariant model, so the check stays exact,
+    while the bit lengths of output-scheduled maps, which double at every
+    step, stay bounded.  A segment that meets a vanishing denominator is
+    redrawn on its own.
+    """
     if not model.discrete:
         raise ValueError("trajectory check applies to discrete models")
     rng = random.Random(seed)
-    for attempt in range(25):
-        try:
-            return _trajectory_once(model, iop, theta, steps, rng)
-        except DenominatorVanishes:
-            continue
-    raise DenominatorVanishes("could not draw a trajectory off singularities")
-
-
-def _trajectory_once(model, iop, theta, steps, rng) -> TrajectoryReport:
-    def draw():
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-    x = [draw() for _ in range(model.n)]
-    u_seq = [[draw() for _ in range(model.m)] for _ in range(steps)]
-    r_seq = [[draw() for _ in range(len(model.sched_names))] for _ in range(steps)]
-    y_seq = []
-
-    outs = model.outputs()
-    ins = model.inputs()
-    scheds = model.scheduling()
-    states = model.states()
-    for k in range(steps):
-        bind = dict(theta)
-        for i, s in enumerate(ins):
-            bind[s] = u_seq[k][i]
-        for i, s in enumerate(scheds):
-            bind[s] = r_seq[k][i]
-        for i, s in enumerate(states):
-            bind[s] = x[i]
-        y = []
-        for o in range(model.p):
-            acc = Fraction(0)
-            for i in range(model.n):
-                e = model.C[o][i]
-                if not e.is_zero():
-                    acc += e.evaluate(bind) * x[i]
-            for i in range(model.m):
-                e = model.D[o][i]
-                if not e.is_zero():
-                    acc += e.evaluate(bind) * u_seq[k][i]
-            y.append(acc)
-        y_seq.append(y)
-        for i, s in enumerate(outs):
-            bind[s] = y[i]
-        nxt = []
-        for i in range(model.n):
-            acc = Fraction(0)
-            for l in range(model.n):
-                e = model.A[i][l]
-                if not e.is_zero():
-                    acc += e.evaluate(bind) * x[l]
-            for l in range(model.m):
-                e = model.B[i][l]
-                if not e.is_zero():
-                    acc += e.evaluate(bind) * u_seq[k][l]
-            nxt.append(acc)
-        x = nxt
-
-    w = iop.order
     windows = 0
     worst = Fraction(0)
-    for k in range(steps - w):
-        bind = dict(theta)
-        for j in range(w + 1):
-            for i, s in enumerate(outs):
-                bind[s.with_order(j)] = y_seq[k + j][i]
-            for i, s in enumerate(ins):
-                bind[s.with_order(j)] = u_seq[k + j][i]
-            for i, s in enumerate(scheds):
-                bind[s.with_order(j)] = r_seq[k + j][i]
+    for _ in range(steps - iop.order):
+        for _attempt in range(25):
+            try:
+                bind = _segment(model, theta, iop.order + 1, rng)
+                break
+            except DenominatorVanishes:
+                continue
+        else:
+            raise DenominatorVanishes(
+                "could not draw a trajectory segment off singularities")
         for psi in iop.equations:
-            val = psi.evaluate(bind)
-            worst = max(worst, abs(val))
+            worst = max(worst, abs(psi.evaluate(bind)))
         windows += 1
     return TrajectoryReport(worst == 0, windows, worst)
 
 
-def indistinguishability_witness(summary: ExhaustiveSummary, theta1: dict,
-                                 theta2: dict) -> bool:
-    """True when both points give identical summary values."""
-    if theta1 == theta2:
-        raise ValueError("witness requires two distinct parameter points")
-    for e in summary.elements:
-        if e.evaluate(theta1) != e.evaluate(theta2):
-            return False
-    return True
+def _segment(model: LpvModel, theta: dict, length: int, rng) -> dict:
+    """Bind theta plus the outputs, inputs and scheduling signals of an exact
+    trajectory of `length` steps, step k at shift order k."""
+    def draw():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    states, outs = model.states(), model.outputs()
+    ins, scheds = model.inputs(), model.scheduling()
+    x = [draw() for _ in states]
+    window = dict(theta)
+    for k in range(length):
+        u = [draw() for _ in ins]
+        bind = dict(theta)
+        bind.update(zip(ins, u))
+        bind.update((s, draw()) for s in scheds)
+        bind.update(zip(states, x))
+        bind.update(zip(outs, _evaluate_affine(model.C, model.D, x, u, bind)))
+        window.update((s.with_order(k), bind[s]) for s in outs + ins + scheds)
+        if k + 1 < length:
+            x = _evaluate_affine(model.A, model.B, x, u, bind)
+    return window
 
 
-_GRID = [Fraction(v) for v in (1, 2, 3, 6, -1, -2)] + \
-        [Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3)]
-
-
-def find_witness(summary: ExhaustiveSummary, params: list, target,
-                 base_point: dict, budget: int = 200000) -> dict | None:
-    """Search a rational grid for theta' != base varying the target.
-
-    Returns the witness point, or None when the budget is exhausted.
-    """
-    grids = []
-    for p in params:
-        vals = [base_point[p]] + [v for v in _GRID if v != base_point[p]]
-        if p == target:
-            vals = vals[1:]
-        grids.append(vals)
-    count = 0
-    for combo in itertools.product(*grids):
-        count += 1
-        if count > budget:
-            return None
-        cand = dict(zip(params, combo))
-        if cand == base_point:
-            continue
-        try:
-            if indistinguishability_witness(summary, base_point, cand):
-                return cand
-        except DenominatorVanishes:
-            continue
-    return None
+def _evaluate_affine(M, N, x: list, u: list, bind: dict) -> list:
+    """Rows of M x + N u with the entries evaluated at bind."""
+    return [sum((e.evaluate(bind) * v for e, v in zip(m_row + n_row, x + u)),
+                Fraction(0))
+            for m_row, n_row in zip(M, N)]
