@@ -11,20 +11,20 @@ from .classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
                        ParamStatus, Verdict, classify, draw_theta_ref,
                        evaluate_summary, jacobian_local_test)
 from .cli import AnalysisConfig, main, run_analyze, run_iop, run_local, run_verify
-from .elimination import NullspaceBasis, left_nullspace, rank, rank_rational
+from .elimination import NullspaceBasis, left_nullspace, rank_rational
 from .errors import (BudgetExceeded, DenominatorVanishes,
                      DenominatorVanishesAtTheta, DimensionMismatch,
                      EmptyNullspace, ExactDivisionError, LpvIdentError,
                      ModelError, ModelSyntaxError, NoParameterDependence,
-                     NotAffineInParameters, NotPolynomialInVars,
-                     OrderTooLargeForBudget, StateInMatrixEntry,
-                     StateNotEliminated, UnboundIndeterminate, UnknownSymbol)
+                     NotAffineInParameters, OrderTooLargeForBudget,
+                     StateInMatrixEntry, StateNotEliminated,
+                     UnboundIndeterminate, UnknownSymbol)
 from .expr import Expression, clear_denominators, expr_text
-from .groebner import (GPoly, GroebnerBasis, groebner_basis, is_groebner,
-                       reduce_gpoly, s_polynomial, univariate_members)
+from .groebner import (GPoly, GroebnerBasis, groebner_basis, reduce_gpoly,
+                       s_polynomial, univariate_members)
 from .indets import Indeterminate, Kind, Role, parameter, ref_parameter, signal
 from .iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
-from .model import LpvModel, ParseDiagnostic, affine_decompose, parse_model, print_model
+from .model import LpvModel, ParseDiagnostic, parse_model, print_model
 from .poly import (MonomialOrder, Polynomial, collect, exact_div,
                    normalize_primitive, poly_gcd, poly_lcm, poly_text)
 from .stacking import StackedSystem, binom_schedule, build_stack
@@ -38,21 +38,20 @@ __all__ = [
     "AnalysisConfig", "BacksubReport", "BudgetExceeded", "DenominatorVanishes",
     "DenominatorVanishesAtTheta", "DimensionMismatch", "EmptyNullspace",
     "ExactDivisionError", "ExhaustiveSummary", "Expression", "GLOBAL", "GPoly",
-    "GroebnerBasis", "Indeterminate", "IopSet", "Kind", "LOCAL", "LpvIdentError",
-    "LpvModel", "ModelError", "ModelSyntaxError", "MonomialOrder",
-    "NON_IDENTIFIABLE", "NoParameterDependence", "NotAffineInParameters",
-    "NotPolynomialInVars", "NullspaceBasis", "OrderTooLargeForBudget",
+    "GroebnerBasis", "Indeterminate", "IopSet", "Kind", "LOCAL",
+    "LpvIdentError", "LpvModel", "ModelError", "ModelSyntaxError",
+    "MonomialOrder", "NON_IDENTIFIABLE", "NoParameterDependence",
+    "NotAffineInParameters", "NullspaceBasis", "OrderTooLargeForBudget",
     "ParamStatus", "ParseDiagnostic", "Polynomial", "Role", "StackedSystem",
     "StateInMatrixEntry", "StateNotEliminated", "TrajectoryReport",
     "UNDETERMINED", "UnboundIndeterminate", "UnknownSymbol", "Verdict",
-    "affine_decompose", "backsubstitute_check", "binom_schedule",
-    "build_stack", "classify", "clear_denominators", "collect",
-    "discrete_trajectory_check", "draw_theta_ref", "evaluate_summary",
-    "exact_div", "expr_text", "extract_summary", "form_iop",
-    "groebner_basis", "is_groebner",
-    "jacobian_local_test", "left_nullspace", "main", "normalize_primitive",
-    "output_closure", "parameter", "parse_model", "poly_gcd", "poly_lcm",
-    "poly_text", "print_model", "rank", "rank_rational", "reduce_gpoly",
-    "ref_parameter", "run_analyze", "run_iop", "run_local", "run_verify",
-    "s_polynomial", "signal", "stack_substitution_check", "univariate_members",
+    "backsubstitute_check", "binom_schedule", "build_stack", "classify",
+    "clear_denominators", "collect", "discrete_trajectory_check",
+    "draw_theta_ref", "evaluate_summary", "exact_div", "expr_text",
+    "extract_summary", "form_iop", "groebner_basis", "jacobian_local_test",
+    "left_nullspace", "main", "normalize_primitive", "output_closure",
+    "parameter", "parse_model", "poly_gcd", "poly_lcm", "poly_text",
+    "print_model", "rank_rational", "reduce_gpoly", "ref_parameter",
+    "run_analyze", "run_iop", "run_local", "run_verify", "s_polynomial",
+    "signal", "stack_substitution_check", "univariate_members",
 ]

@@ -1,19 +1,23 @@
 """Command-line front end: order sweep, engine choice, deterministic reports.
 
-``analyze`` walks the stack order w upward from zero, collecting
-input-output-parameter equations until every output is represented (or the
-order cap is hit), classifies the exhaustive summary at each covered order,
-and stops as soon as the verdict is Global or Local.  ``local`` runs the
-one-sided Jacobian rank test on the same equation set, ``iop`` dumps the
-intermediate artifacts at one fixed order, and ``verify`` replays the
-self-check oracles.  Reports are byte-identical for identical
+Every subcommand but ``iop`` walks the stack order w upward from zero
+through one sweep, which records each order in the report's trace and
+hands on only the orders whose input-output-parameter equations cover
+every output.  ``analyze`` classifies the exhaustive summary at each such
+order and stops as soon as the verdict is Global or Local.  ``local`` runs
+the one-sided Jacobian rank test, and ``verify`` replays the self-check
+oracles, both at the first covering order.  ``iop`` dumps the intermediate
+artifacts at one fixed order.  Each subcommand accepts only the flags it
+reads, plus ``--seed`` and ``--format``; the report's config block shows
+the defaults of the rest.  Reports are byte-identical for identical
 (model, flags, seed) inputs, so the timings block holds exact operation
 counts instead of wall-clock times.
 
 Exit codes: 0 success / determinate verdict; 1 verifier failure or engine
 disagreement; 2 model or usage error; 3 Undetermined verdict (budget
 exhaustion, empty null-space at the order cap, trial disagreement, or
-Jacobian rank below q).
+Jacobian rank below q) or a stack over ``--size-cap`` in ``verify`` or
+``iop``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
@@ -72,30 +76,64 @@ def _new_counters() -> dict:
             "jacobian_runs": 0, "verifier_checks": 0}
 
 
+def _cap(model, config: AnalysisConfig) -> int:
+    return model.n if config.max_order is None else config.max_order
+
+
+def _no_cover(model, config: AnalysisConfig) -> str:
+    return f"no covering equation set up to order {_cap(model, config)}"
+
+
+def _size_guidance(exc: OrderTooLargeForBudget) -> str:
+    return f"{exc}; raise --size-cap or lower --max-order"
+
+
+def _at_order(model, w: int, config: AnalysisConfig, counters: dict) -> tuple:
+    """(trace entry, stack, null space, equations or None) at order w."""
+    stack = build_stack(model, w, config.size_cap)
+    counters["stack_builds"] += 1
+    ns = left_nullspace(stack.O)
+    counters["nullspace_calls"] += 1
+    iop = form_iop(stack, ns, model.discrete) if ns.dimension else None
+    covered = set()
+    if iop is not None:
+        for i in range(len(iop.equations)):
+            covered |= iop.outputs_in(i)
+    entry = {
+        "w": w,
+        "rows": stack.rows,
+        "cols": stack.cols,
+        "rank": ns.rank,
+        "nullspace_dim": ns.dimension,
+        "equations": [] if iop is None else
+            [poly_text(e, discrete=model.discrete) for e in iop.equations],
+        "covered_outputs": sorted(covered),
+    }
+    return entry, stack, ns, iop
+
+
 def _sweep(model, config: AnalysisConfig, counters: dict, trace: list):
-    """Yield (w, stack, iop, covered-output names) for w = 0..cap."""
-    cap = model.n if config.max_order is None else config.max_order
-    for w in range(cap + 1):
-        stack = build_stack(model, w, config.size_cap)
-        counters["stack_builds"] += 1
-        ns = left_nullspace(stack.O)
-        counters["nullspace_calls"] += 1
-        iop = form_iop(stack, ns, model.discrete) if ns.dimension else None
-        covered = set()
-        if iop is not None:
-            for i in range(len(iop.equations)):
-                covered |= iop.outputs_in(i)
-        trace.append({
-            "w": w,
-            "rows": stack.rows,
-            "cols": stack.cols,
-            "rank": ns.rank,
-            "nullspace_dim": ns.dimension,
-            "equations": [] if iop is None else
-                [poly_text(e, discrete=model.discrete) for e in iop.equations],
-            "covered_outputs": sorted(covered),
-        })
-        yield w, stack, iop, covered
+    """Yield (w, stack, iop) for each w <= cap whose equations cover every
+    output; every order swept lands in the trace."""
+    wanted = set(model.output_names)
+    for w in range(_cap(model, config) + 1):
+        entry, stack, _, iop = _at_order(model, w, config, counters)
+        trace.append(entry)
+        if iop is not None and wanted <= set(entry["covered_outputs"]):
+            yield w, stack, iop
+
+
+def _flat_verdict(model, status: str, method: str, evidence: list) -> Verdict:
+    """One status for every parameter, from no engine run."""
+    statuses = {name: ParamStatus(status) for name in model.param_names}
+    return Verdict(status, statuses, method, 0, evidence)
+
+
+def _undetermined(model, config: AnalysisConfig, method: str,
+                  guidance: str | None) -> tuple:
+    """(verdict, guidance) of a sweep that reached no verdict."""
+    verdict = _flat_verdict(model, UNDETERMINED, method, [])
+    return verdict, guidance or f"{_no_cover(model, config)}; raise --max-order"
 
 
 def _run_engines(iop, summary, model, config: AnalysisConfig, counters: dict):
@@ -127,14 +165,6 @@ def _run_engines(iop, summary, model, config: AnalysisConfig, counters: dict):
     return v, cross
 
 
-def _trivial_verdict(model, method: str) -> Verdict:
-    # a parameter-free summary constrains nothing
-    statuses = {name: ParamStatus(NON_IDENTIFIABLE)
-                for name in model.param_names}
-    ev = [{"note": "exhaustive summary carries no parameter dependence"}]
-    return Verdict(NON_IDENTIFIABLE, statuses, method, 0, ev)
-
-
 def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
     out = {
         "backsubstitution": backsubstitute_check(model, iop).ok,
@@ -152,6 +182,12 @@ def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
     return out
 
 
+def _verifier_ok(verifier: dict) -> bool:
+    traj = verifier["trajectory"]
+    return bool(verifier["backsubstitution"] and verifier["stack_substitution"]
+                and (traj is None or traj["ok"]))
+
+
 # --- report assembly ---
 
 def _model_block(model) -> dict:
@@ -165,20 +201,6 @@ def _model_block(model) -> dict:
         "n": model.n, "m": model.m, "p": model.p, "q": model.q,
         "warnings": [d.render() for d in model.warnings],
         "source": print_model(model),
-    }
-
-
-def _config_block(command: str, config: AnalysisConfig, model) -> dict:
-    return {
-        "command": command,
-        "max_order": model.n if config.max_order is None else config.max_order,
-        "method": config.method,
-        "mode": config.mode,
-        "trials": config.trials,
-        "seed": config.seed,
-        "pair_budget": config.pair_budget,
-        "degree_budget": config.degree_budget,
-        "size_cap": config.size_cap,
     }
 
 
@@ -200,16 +222,27 @@ def _verdict_block(verdict, achieved, summary_texts, cross, guidance) -> dict:
     return block
 
 
-def _timings_block(counters: dict) -> dict:
-    out = {"units": "exact operation counts (deterministic)"}
-    out.update(sorted(counters.items()))
-    return out
-
-
-def _status_label(entry: dict) -> str:
-    if entry["status"] == LOCAL and entry["degree"]:
-        return f"Local({entry['degree']})"
-    return entry["status"]
+def _report(command: str, model, config: AnalysisConfig, trace: list,
+            counters: dict, verdict=None, verifier=None) -> dict:
+    return {
+        "model": _model_block(model),
+        "config": {
+            "command": command,
+            "max_order": _cap(model, config),
+            "method": config.method,
+            "mode": config.mode,
+            "trials": config.trials,
+            "seed": config.seed,
+            "pair_budget": config.pair_budget,
+            "degree_budget": config.degree_budget,
+            "size_cap": config.size_cap,
+        },
+        "trace": trace,
+        "verdict": verdict,
+        "verifier": verifier,
+        "timings": {"units": "exact operation counts (deterministic)",
+                    **counters},
+    }
 
 
 def _render_text(report: dict) -> str:
@@ -243,7 +276,9 @@ def _render_text(report: dict) -> str:
         lines.append(f"verdict: {v['model']} (method={v['method']}, "
                      f"trials={v['trials']}, order={v['achieved_at_order']})")
         for name in sorted(v["parameters"]):
-            lines.append(f"  {name}: {_status_label(v['parameters'][name])}")
+            p = v["parameters"][name]
+            lines.append(f"  {name}: "
+                         f"{ParamStatus(p['status'], p['degree']).render()}")
         cross = v.get("cross_check")
         if cross:
             lines.append(f"cross-check: jacobian {cross['jacobian_status']}, "
@@ -280,23 +315,19 @@ def _emit(report: dict, fmt: str) -> str:
 def run_analyze(model, config: AnalysisConfig) -> tuple:
     counters = _new_counters()
     trace: list = []
-    wanted = set(model.output_names)
-    verdict = None
-    achieved = None
-    summary_texts = None
-    cross = None
-    guidance = None
-    deepest = None
+    verdict = achieved = summary_texts = cross = guidance = deepest = None
     try:
-        for w, stack, iop, covered in _sweep(model, config, counters, trace):
-            if iop is None or not wanted <= covered:
-                continue
+        for w, stack, iop in _sweep(model, config, counters, trace):
             deepest = (stack, iop)
             achieved = w
             try:
                 summary = extract_summary(iop)
             except NoParameterDependence:
-                verdict = _trivial_verdict(model, config.method)
+                # a parameter-free summary constrains nothing
+                verdict = _flat_verdict(
+                    model, NON_IDENTIFIABLE, config.method,
+                    [{"note": "exhaustive summary carries no parameter "
+                              "dependence"}])
                 summary_texts = []
                 continue
             summary_texts = [expr_text(e) for e in summary.elements]
@@ -305,216 +336,126 @@ def run_analyze(model, config: AnalysisConfig) -> tuple:
             if verdict.model_status in (GLOBAL, LOCAL):
                 break
     except OrderTooLargeForBudget as exc:
-        guidance = f"{exc}; raise --size-cap or lower --max-order"
+        guidance = _size_guidance(exc)
     if verdict is None:
-        cap = model.n if config.max_order is None else config.max_order
-        statuses = {nm: ParamStatus(UNDETERMINED) for nm in model.param_names}
-        verdict = Verdict(UNDETERMINED, statuses, config.method, 0, [])
-        if guidance is None:
-            guidance = (f"no covering equation set up to order {cap}; "
-                        "raise --max-order")
+        verdict, guidance = _undetermined(model, config, config.method,
+                                          guidance)
     verifier = None
     if deepest is not None:
         verifier = _run_verifier(model, deepest[0], deepest[1], config,
                                  counters)
-    report = {
-        "model": _model_block(model),
-        "config": _config_block("analyze", config, model),
-        "trace": trace,
-        "verdict": _verdict_block(verdict, achieved, summary_texts, cross,
-                                  guidance),
-        "verifier": verifier,
-        "timings": _timings_block(counters),
-    }
+    report = _report("analyze", model, config, trace, counters,
+                     _verdict_block(verdict, achieved, summary_texts, cross,
+                                    guidance), verifier)
     if cross is not None and not cross["consistent"]:
         return report, 1
     if verdict.model_status == UNDETERMINED:
         return report, 3
-    code = 0
-    if verifier is not None:
-        traj = verifier["trajectory"]
-        ok = (verifier["backsubstitution"] and verifier["stack_substitution"]
-              and (traj is None or traj["ok"]))
-        code = 0 if ok else 1
-    return report, code
+    return report, 0 if verifier is None or _verifier_ok(verifier) else 1
 
 
 def run_local(model, config: AnalysisConfig) -> tuple:
     counters = _new_counters()
     trace: list = []
-    wanted = set(model.output_names)
-    verdict = None
-    achieved = None
-    guidance = None
+    verdict = achieved = guidance = None
     try:
-        for w, stack, iop, covered in _sweep(model, config, counters, trace):
-            if iop is None or not wanted <= covered:
-                continue
+        for w, _, iop in _sweep(model, config, counters, trace):
             achieved = w
             verdict = jacobian_local_test(iop, model.params(), config.trials,
                                           config.seed)
             counters["jacobian_runs"] += 1
             break
     except OrderTooLargeForBudget as exc:
-        guidance = f"{exc}; raise --size-cap or lower --max-order"
+        guidance = _size_guidance(exc)
     if verdict is None:
-        cap = model.n if config.max_order is None else config.max_order
-        statuses = {nm: ParamStatus(UNDETERMINED) for nm in model.param_names}
-        verdict = Verdict(UNDETERMINED, statuses, "jacobian", 0, [])
-        if guidance is None:
-            guidance = (f"no covering equation set up to order {cap}; "
-                        "raise --max-order")
-    report = {
-        "model": _model_block(model),
-        "config": _config_block("local", config, model),
-        "trace": trace,
-        "verdict": _verdict_block(verdict, achieved, None, None, guidance),
-        "verifier": None,
-        "timings": _timings_block(counters),
-    }
+        verdict, guidance = _undetermined(model, config, "jacobian", guidance)
+    report = _report("local", model, config, trace, counters,
+                     _verdict_block(verdict, achieved, None, None, guidance))
     return report, 0 if verdict.model_status == LOCAL else 3
 
 
 def run_iop(model, config: AnalysisConfig, w: int) -> tuple:
     counters = _new_counters()
-    stack = build_stack(model, w, config.size_cap)
-    counters["stack_builds"] += 1
-    ns = left_nullspace(stack.O)
-    counters["nullspace_calls"] += 1
+    entry, stack, ns, iop = _at_order(model, w, config, counters)
+
     def ex(e):
         return expr_text(e, discrete=model.discrete)
 
-    entry = {
-        "w": w,
-        "rows": stack.rows,
-        "cols": stack.cols,
-        "rank": ns.rank,
-        "nullspace_dim": ns.dimension,
-        "O": [[ex(e) for e in row] for row in stack.O],
-        "G": [[ex(e) for e in row] for row in stack.G],
-        "Y0": [ex(e) for e in stack.Y0],
-        "omega": [],
-        "equations": [],
-        "covered_outputs": [],
-        "summary": None,
-    }
-    if ns.dimension:
-        iop = form_iop(stack, ns, model.discrete)
-        entry["omega"] = [[ex(e) for e in row] for row in ns.rows]
-        entry["equations"] = [poly_text(e, discrete=model.discrete)
-                              for e in iop.equations]
-        covered = set()
-        for i in range(len(iop.equations)):
-            covered |= iop.outputs_in(i)
-        entry["covered_outputs"] = sorted(covered)
+    entry["O"] = [[ex(e) for e in row] for row in stack.O]
+    entry["G"] = [[ex(e) for e in row] for row in stack.G]
+    entry["Y0"] = [ex(e) for e in stack.Y0]
+    entry["omega"] = [[ex(e) for e in row] for row in ns.rows]
+    entry["summary"] = None
+    if iop is None:
+        entry["notice"] = "null-space empty at this order"
+    else:
         try:
-            summary = extract_summary(iop)
-            entry["summary"] = [expr_text(e) for e in summary.elements]
+            entry["summary"] = [expr_text(e)
+                                for e in extract_summary(iop).elements]
         except NoParameterDependence:
             entry["summary"] = []
             entry["notice"] = "no parameter dependence in the summary"
-    else:
-        entry["notice"] = "null-space empty at this order"
-    report = {
-        "model": _model_block(model),
-        "config": _config_block("iop", config, model),
-        "trace": [entry],
-        "verdict": None,
-        "verifier": None,
-        "timings": _timings_block(counters),
-    }
-    return report, 0
+    return _report("iop", model, config, [entry], counters), 0
 
 
 def run_verify(model, config: AnalysisConfig) -> tuple:
     counters = _new_counters()
     trace: list = []
-    wanted = set(model.output_names)
-    found = None
-    for w, stack, iop, covered in _sweep(model, config, counters, trace):
-        if iop is not None and wanted <= covered:
-            found = (stack, iop)
-            break
-    report = {
-        "model": _model_block(model),
-        "config": _config_block("verify", config, model),
-        "trace": trace,
-        "verdict": None,
-        "verifier": None,
-        "timings": _timings_block(counters),
-    }
-    if found is None:
-        cap = model.n if config.max_order is None else config.max_order
-        report["verifier"] = {
-            "backsubstitution": False,
-            "stack_substitution": False,
-            "trajectory": None,
-            "notice": f"no covering equation set up to order {cap}",
-        }
-        report["timings"] = _timings_block(counters)
-        return report, 1
-    verifier = _run_verifier(model, found[0], found[1], config, counters)
-    report["verifier"] = verifier
-    report["timings"] = _timings_block(counters)
-    traj = verifier["trajectory"]
-    ok = (verifier["backsubstitution"] and verifier["stack_substitution"]
-          and (traj is None or traj["ok"]))
-    return report, 0 if ok else 1
+    for _, stack, iop in _sweep(model, config, counters, trace):
+        verifier = _run_verifier(model, stack, iop, config, counters)
+        break
+    else:
+        verifier = {"backsubstitution": False, "stack_substitution": False,
+                    "trajectory": None, "notice": _no_cover(model, config)}
+    report = _report("verify", model, config, trace, counters,
+                     verifier=verifier)
+    return report, 0 if _verifier_ok(verifier) else 1
 
 
 # --- argument handling ---
 
-def _add_common(sub, with_engine: bool) -> None:
-    sub.add_argument("model", help="model file")
-    sub.add_argument("--max-order", type=int, default=None,
-                     help="order sweep cap (default: state count)")
-    if with_engine:
-        sub.add_argument("--method", default="groebner",
-                         choices=("groebner", "jacobian", "both"))
-        sub.add_argument("--mode", default="numeric",
-                         choices=("numeric", "symbolic"))
-    sub.add_argument("--trials", type=int, default=5)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", default="text", choices=("text", "json"))
-    sub.add_argument("--pair-budget", type=int, default=20000)
-    sub.add_argument("--degree-budget", type=int, default=60)
-    sub.add_argument("--size-cap", type=int, default=64)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # no flag carries a default: an absent one keeps AnalysisConfig's
+    flags = {
+        "--max-order": {"type": int,
+                        "help": "order sweep cap (default: state count)"},
+        "--method": {"choices": ("groebner", "jacobian", "both")},
+        "--mode": {"choices": ("numeric", "symbolic")},
+        "--trials": {"type": int},
+        "--seed": {"type": int},
+        "--format": {"dest": "fmt", "choices": ("text", "json")},
+        "--pair-budget": {"type": int},
+        "--degree-budget": {"type": int},
+        "--size-cap": {"type": int},
+        "--order": {"type": int, "required": True, "help": "stack order w"},
+    }
     ap = argparse.ArgumentParser(
         prog="lpvident",
         description="Structural identifiability of LPV and quasi-LPV "
                     "state-space models by parity-space elimination.")
     subs = ap.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser(
-        "analyze", help="order sweep, elimination, and classification"),
-        with_engine=True)
-    _add_common(subs.add_parser(
-        "local", help="one-sided Jacobian-rank local test"),
-        with_engine=False)
-    iop = subs.add_parser("iop", help="dump stack, null-space, equations, "
-                                      "and summary at one order")
-    _add_common(iop, with_engine=False)
-    iop.add_argument("--order", type=int, required=True, help="stack order w")
-    _add_common(subs.add_parser(
-        "verify", help="back-substitution and trajectory self-checks"),
-        with_engine=False)
+    for name, help_, own in (
+            ("analyze", "order sweep, elimination, and classification",
+             ("--max-order", "--method", "--mode", "--trials", "--pair-budget",
+              "--degree-budget")),
+            ("local", "one-sided Jacobian-rank local test",
+             ("--max-order", "--trials")),
+            ("iop", "dump stack, null-space, equations, and summary at one "
+                    "order", ("--order",)),
+            ("verify", "back-substitution and trajectory self-checks",
+             ("--max-order",))):
+        sub = subs.add_parser(name, help=help_,
+                              argument_default=argparse.SUPPRESS)
+        sub.add_argument("model", help="model file")
+        for flag in (*own, "--seed", "--format", "--size-cap"):
+            sub.add_argument(flag, **flags[flag])
     return ap
 
 
 def _config_from(args) -> AnalysisConfig:
-    cfg = AnalysisConfig(
-        max_order=args.max_order,
-        method=getattr(args, "method", "groebner"),
-        mode=getattr(args, "mode", "numeric"),
-        trials=args.trials,
-        seed=args.seed,
-        fmt=args.format,
-        pair_budget=args.pair_budget,
-        degree_budget=args.degree_budget,
-        size_cap=args.size_cap,
-    )
+    names = {f.name for f in fields(AnalysisConfig)}
+    cfg = AnalysisConfig(**{k: v for k, v in vars(args).items()
+                            if k in names})
     cfg.validate()
     return cfg
 

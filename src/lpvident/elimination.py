@@ -95,15 +95,6 @@ def _to_poly_rows(matrix: list) -> tuple:
     return rows, scales
 
 
-def rank(matrix: list) -> int:
-    """Rank over the rational-function field (matrix of Expression)."""
-    if not matrix or not matrix[0]:
-        return 0
-    rows, _ = _to_poly_rows(matrix)
-    _, rk = _bareiss_echelon(rows)
-    return rk
-
-
 def left_nullspace(matrix: list) -> NullspaceBasis:
     """Basis of {omega : omega M = 0} for a matrix of Expression entries.
 

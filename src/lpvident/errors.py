@@ -16,10 +16,6 @@ class ZeroPolynomialError(LpvIdentError):
     """An operation that needs a nonzero polynomial received zero."""
 
 
-class NotPolynomialInVars(LpvIdentError):
-    """collect() was asked to treat variables that occur in a denominator."""
-
-
 class ExactDivisionError(LpvIdentError):
     """Internal: an exact polynomial division left a remainder."""
 

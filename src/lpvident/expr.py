@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (DenominatorVanishes, NotPolynomialInVars,
-                     ZeroPolynomialError)
+from .errors import DenominatorVanishes, ZeroPolynomialError
 from .indets import Indeterminate
-from .poly import (ONE, ZERO, Polynomial, collect, exact_div, poly_gcd,
-                   poly_lcm, poly_text)
+from .poly import (ONE, ZERO, Polynomial, exact_div, poly_gcd, poly_lcm,
+                   poly_text)
 
 
 class Expression:
@@ -183,17 +182,6 @@ def substitute_poly(p: Polynomial, bindings: dict) -> Expression:
                 term = term * Expression(Polynomial.var(v, e))
         out = out + term
     return out
-
-
-def collect_expr(e: Expression, vars_: set) -> dict:
-    """Coefficients of e grouped by monomials over vars_.
-
-    The denominator must not involve vars_; coefficients come back as
-    Expressions sharing that denominator.
-    """
-    if e.den.indeterminates() & vars_:
-        raise NotPolynomialInVars("denominator involves collection variables")
-    return {m: Expression(c, e.den) for m, c in collect(e.num, vars_).items()}
 
 
 def clear_denominators(exprs: list) -> tuple:

@@ -240,16 +240,6 @@ def _inter_reduce(basis: list) -> list:
     return out
 
 
-def is_groebner(basis: list) -> bool:
-    """Every S-polynomial of basis members reduces to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j])
-            if not reduce_gpoly(s, basis).is_zero():
-                return False
-    return True
-
-
 def univariate_members(basis: GroebnerBasis, var: Indeterminate) -> list:
     """Basis generators involving only the given order variable."""
     idx = basis.order.variables.index(var)

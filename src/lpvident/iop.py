@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (EmptyNullspace, NoParameterDependence, StateNotEliminated)
 from .indets import Kind, Role
-from .expr import Expression, collect_expr
+from .expr import Expression
 from .poly import Monomial, Polynomial, mono_key, normalize_primitive
 
 from .stacking import StackedSystem

@@ -33,7 +33,7 @@ from .errors import (DimensionMismatch, LpvIdentError, ModelSyntaxError,
                      UnknownSymbol)
 from .indets import Indeterminate, Kind, Role, parameter, signal
 from .expr import Expression, expr_text
-from .poly import Polynomial, collect
+from .poly import Polynomial
 
 _SECTIONS = ("time", "states", "inputs", "outputs", "params", "scheduling")
 _MATRICES = ("A", "B", "C", "D")
@@ -497,33 +497,6 @@ def _generic_rank_C(model: LpvModel, trials: int = 3) -> int:
         if best >= min(model.p, model.n):
             break
     return best
-
-
-def affine_decompose(matrix: tuple, params: list) -> tuple:
-    """Split X(rho, theta) = X0 + sum_j theta_j * Xbar_j.
-
-    Entries must be affine in the parameters jointly; denominators must be
-    parameter-free (both enforced by validation).
-    """
-    pset = set(params)
-    zero = Expression(Polynomial())
-    x0 = []
-    bars = [[] for _ in params]
-    for row in matrix:
-        x0.append([])
-        for b in bars:
-            b.append([])
-        for e in row:
-            if e.den.degree_in(pset) > 0 or e.num.degree_in(pset) > 1:
-                raise NotAffineInParameters("entry is not affine in the parameters")
-            grouped = collect(e.num, pset)
-            x0[-1].append(Expression(grouped.get((), Polynomial()), e.den))
-            for j, th in enumerate(params):
-                coeff = grouped.get(((th, 1),), Polynomial())
-                bars[j][-1].append(Expression(coeff, e.den) if not coeff.is_zero()
-                                   else zero)
-    freeze = lambda mat: tuple(tuple(r) for r in mat)
-    return freeze(x0), [freeze(b) for b in bars]
 
 
 def print_model(model: LpvModel) -> str:

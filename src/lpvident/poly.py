@@ -16,7 +16,7 @@ from math import gcd as int_gcd
 
 from .errors import (ExactDivisionError, UnboundIndeterminate,
                      ZeroPolynomialError)
-from .indets import Indeterminate, Kind, Role
+from .indets import Indeterminate, Kind
 
 Monomial = tuple  # tuple[tuple[Indeterminate, int], ...]
 
@@ -123,13 +123,6 @@ class Polynomial:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def has_kind(self, kind: Kind, role: Role | None = None) -> bool:
-        for m in self.terms:
-            for v, _ in m:
-                if v.kind is kind and (role is None or v.role is role):
-                    return True
-        return False
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -451,6 +444,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.primitive()
     if a.is_constant() or b.is_constant():
         return ONE
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        # a monomial's divisors are monomials: take the least exponents
+        (m,) = a.terms
+        for t in b.terms:
+            m = mono_gcd(m, t)
+        return Polynomial({m: 1})
     va = _main_var(a)
     vb = _main_var(b)
     if va != vb:

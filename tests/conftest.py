@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lpvident.groebner import reduce_gpoly, s_polynomial
 from lpvident.model import parse_model
 
 _MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -20,6 +21,17 @@ def model_text(name: str) -> str:
 
 def model_path(name: str) -> Path:
     return _MODELS / f"{name}.lpv"
+
+
+def is_groebner(basis: list) -> bool:
+    """Buchberger's criterion: every S-polynomial of basis members reduces
+    to zero.  The oracle the Groebner tests check bases against."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            s = s_polynomial(basis[i], basis[j])
+            if not reduce_gpoly(s, basis).is_zero():
+                return False
+    return True
 
 
 def load_model(name: str):

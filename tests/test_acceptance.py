@@ -12,14 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_models
+from conftest import is_groebner, random_models
 from lpvident.classify import (classify, draw_theta_ref, evaluate_summary,
                                jacobian_local_test)
 from lpvident.elimination import NullspaceBasis, left_nullspace
 from lpvident.errors import EmptyNullspace
 from lpvident.expr import E_ZERO, Expression, expr_text
 from lpvident.groebner import (gpoly_from_polynomial, groebner_basis,
-                               is_groebner, reduce_gpoly)
+                               reduce_gpoly)
 from lpvident.indets import Role, signal
 from lpvident.iop import extract_summary, form_iop
 from lpvident.poly import (MonomialOrder, Polynomial, normalize_primitive,

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report schema, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,33 @@ def test_verify_subcommand(capsys):
         assert "pass" in out and "fail" not in out
 
 
+TWO_OUTPUTS = """time: continuous
+states: x1, x2, x3
+inputs: u
+outputs: y1, y2
+params: theta1, theta2
+A: [theta1, 0, 0; 0, 0, 1; 1, theta2, 0]
+B: [1; 0; 0]
+C: [1, 0, 0; 0, 1, 0]
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "local", "verify"])
+def test_sweep_waits_for_every_output(tmp_path, capsys, command):
+    # w = 1 gives one equation, in y1 alone; y2 first appears at w = 2
+    path = tmp_path / "two_outputs.lpv"
+    path.write_text(TWO_OUTPUTS)
+    code, report, _ = _run_json(capsys, command, path)
+    assert code == 0
+    assert ([t["covered_outputs"] for t in report["trace"]]
+            == [[], ["y1"], ["y1", "y2"]])
+    runs = report["timings"]
+    assert runs["classification_runs"] + runs["jacobian_runs"] == (
+        0 if command == "verify" else 1)
+    if command != "verify":
+        assert report["verdict"]["achieved_at_order"] == 2
+
+
 def test_warnings_render_in_text_report(capsys):
     code, out, _ = _run(capsys, "analyze", model_path("henon"))
     assert code == 0
@@ -191,3 +219,79 @@ def test_text_report_mentions_equations(capsys):
     assert code == 0
     assert "theta2*theta3*u^3*y" in out
     assert "NonIdentifiable" in out
+
+
+_EMPTY = "e3b0c44298fc1c14"   # sha256 of "" (first 16 hex digits)
+
+# (model, argv, exit code, sha256 of stdout, sha256 of stderr), JSON format.
+# Each digest is the first 16 hex digits; the table pins every report byte.
+PINNED = [
+    ("air_handling_unit", ("analyze",), 0, "50f7743ed598af8b", _EMPTY),
+    ("air_handling_unit", ("analyze", "--mode", "symbolic", "--method",
+                           "both"), 0, "6707d55f45a19402", _EMPTY),
+    ("air_handling_unit", ("local",), 0, "ff596115c4c89f43", _EMPTY),
+    ("air_handling_unit", ("verify",), 0, "f650febd567f3fc9", _EMPTY),
+    ("air_handling_unit", ("iop", "--order", "2"), 0, "f09c6c69f381d2ff",
+     _EMPTY),
+    ("burgers_discretized", ("analyze",), 0, "21071859e016a173", _EMPTY),
+    ("burgers_discretized", ("analyze", "--mode", "symbolic", "--method",
+                             "both"), 0, "04be468e10774466", _EMPTY),
+    ("burgers_discretized", ("local",), 0, "6453f8eb0620496e", _EMPTY),
+    ("burgers_discretized", ("verify",), 0, "7b90ad5471496a58", _EMPTY),
+    ("burgers_discretized", ("iop", "--order", "2"), 0, "1654f0199c48c47f",
+     _EMPTY),
+    ("henon", ("analyze",), 0, "7414aedb12c8a532", _EMPTY),
+    ("henon", ("analyze", "--mode", "symbolic", "--method", "both"), 0,
+     "0e4593a6ad0c0407", _EMPTY),
+    ("henon", ("local",), 3, "95ec0aeb69b2ab1b", _EMPTY),
+    ("henon", ("verify",), 0, "c224f3c4f4967967", _EMPTY),
+    ("henon", ("iop", "--order", "2"), 0, "dcdc56d44b5b05ad", _EMPTY),
+    ("product_coupling", ("analyze",), 0, "33abd600816e2bce", _EMPTY),
+    ("product_coupling", ("analyze", "--mode", "symbolic", "--method",
+                          "both"), 0, "1113f5fbb26a9158", _EMPTY),
+    ("product_coupling", ("local",), 3, "6e09b7bf80e9a522", _EMPTY),
+    ("product_coupling", ("verify",), 0, "edd1d6bb3f92882c", _EMPTY),
+    ("product_coupling", ("iop", "--order", "2"), 0, "190387c8cb4e39a0",
+     _EMPTY),
+    ("shared_gain", ("analyze",), 0, "abd174007ac1b4b3", _EMPTY),
+    ("shared_gain", ("analyze", "--mode", "symbolic", "--method", "both"), 0,
+     "74b6cc2ddfccf218", _EMPTY),
+    ("shared_gain", ("local",), 0, "d464edc53fdc20ca", _EMPTY),
+    ("shared_gain", ("verify",), 0, "24e2acf64bb5cc78", _EMPTY),
+    ("shared_gain", ("iop", "--order", "2"), 0, "66071ebd581d7fe0", _EMPTY),
+    # no covering order: a verifier block with a notice, exit 1
+    ("product_coupling", ("verify", "--max-order", "1"), 1,
+     "551fe41a661eb205", _EMPTY),
+    # a --size-cap overrun in verify and iop: an error and no report
+    ("product_coupling", ("verify", "--size-cap", "3"), 3, _EMPTY,
+     "a8d3ff8694f44c8b"),
+    ("product_coupling", ("iop", "--order", "2", "--size-cap", "3"), 3,
+     _EMPTY, "d28cbc2ca6085d4a"),
+    # Undetermined with "raise --max-order" guidance
+    ("product_coupling", ("local", "--max-order", "1"), 3,
+     "625dddcbf14499b9", _EMPTY),
+    # Undetermined with "raise --size-cap" guidance
+    ("product_coupling", ("analyze", "--size-cap", "3"), 3,
+     "f9f0e8a7e6f578ef", _EMPTY),
+    ("product_coupling", ("local", "--size-cap", "3"), 3, "b36ceb8bd6edcd38",
+     _EMPTY),
+    # iop reads no Groebner budget, so it does not accept one
+    ("henon", ("iop", "--order", "2", "--pair-budget", "5"), 2, _EMPTY,
+     "96c07c3b0529c54a"),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,out_sha,err_sha", PINNED,
+                         ids=[" ".join((n,) + a) for n, a, *_ in PINNED])
+def test_pinned_report_bytes(capsys, monkeypatch, name, argv, code, out_sha,
+                             err_sha):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the width
+    try:
+        got = main([argv[0], str(model_path(name)), *argv[1:],
+                    "--format", "json"])
+    except SystemExit as exc:    # argparse usage error
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    assert hashlib.sha256(out.out.encode()).hexdigest()[:16] == out_sha
+    assert hashlib.sha256(out.err.encode()).hexdigest()[:16] == err_sha

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_models
-from lpvident.elimination import left_nullspace, rank, rank_rational
+from lpvident.elimination import left_nullspace, rank_rational
 from lpvident.expr import E_ONE, E_ZERO, expr_text
 from lpvident.model import parse_model
 from lpvident.stacking import build_stack
@@ -42,9 +42,9 @@ def test_zero_row_gives_unit_vector():
 
 
 def test_empty_and_full_rank():
-    assert rank([]) == 0
+    assert left_nullspace([]).rank == 0
     one = E_ONE
-    assert rank([[one]]) == 1
+    assert left_nullspace([[one]]).rank == 1
     assert left_nullspace([[one, one]]).dimension == 0
 
 
@@ -61,7 +61,7 @@ def test_rank_matches_rational_specialization(goldens):
     rng = random.Random(7)
     for model in goldens.values():
         s = build_stack(model, 2)
-        rk = rank(s.O)
+        rk = left_nullspace(s.O).rank
         indets = set()
         for row in s.O:
             for e in row:

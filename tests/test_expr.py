@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lpvident.errors import (DenominatorVanishes, NotPolynomialInVars,
-                             ZeroPolynomialError)
+from lpvident.errors import DenominatorVanishes, ZeroPolynomialError
 from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
-                           collect_expr, expr_text, substitute_poly)
+                           expr_text, substitute_poly)
 from lpvident.indets import Role, parameter, signal
 from lpvident.poly import Polynomial, exact_div
 
@@ -158,18 +157,6 @@ def test_substitute_poly_produces_expression():
     assert out == E_ZERO
     out2 = substitute_poly(P.var(Y, 2), {Y: E_ONE / ev(U)})
     assert out2 == E_ONE / (ev(U) * ev(U))
-
-
-def test_collect_expr_groups_and_error():
-    e = (ev(TH) * ev(U) + ev(Y)) / ev(TH)
-    groups = collect_expr(e, {U, Y})
-    mono_u = next(iter(P.var(U).terms))
-    mono_y = next(iter(P.var(Y).terms))
-    assert set(groups) == {mono_u, mono_y}
-    assert groups[mono_u] == E_ONE
-    assert groups[mono_y] == E_ONE / ev(TH)
-    with pytest.raises(NotPolynomialInVars):
-        collect_expr(E_ONE / ev(U), {U})
 
 
 def test_clear_denominators_common_multiple():

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_groebner
 from lpvident.classify import evaluate_summary
 from lpvident.elimination import left_nullspace
 from lpvident.errors import BudgetExceeded
 from lpvident.expr import E_ONE
 from lpvident.groebner import (GroebnerBasis, gpoly_from_polynomial,
-                               groebner_basis, gpoly_text, is_groebner,
-                               reduce_gpoly, s_polynomial,
-                               univariate_members)
+                               groebner_basis, gpoly_text, reduce_gpoly,
+                               s_polynomial, univariate_members)
 from lpvident.indets import parameter
 from lpvident.iop import extract_summary, form_iop
 from lpvident.model import parse_model

@@ -1,13 +1,12 @@
-"""Model frontend: parsing, inference, validation, affine decomposition."""
+"""Model frontend: parsing, inference, validation, printing."""
 
 import pytest
 
 from lpvident.errors import (DimensionMismatch, ModelSyntaxError,
                              NotAffineInParameters, StateInMatrixEntry,
                              UnknownSymbol)
-from lpvident.expr import E_ZERO, Expression, expr_text
-from lpvident.model import affine_decompose, parse_model, print_model
-from lpvident.poly import Polynomial
+from lpvident.expr import expr_text
+from lpvident.model import parse_model, print_model
 
 
 def test_golden_dimensions(goldens):
@@ -166,33 +165,6 @@ def test_rank_deficient_c_warning():
 
 def test_clean_model_has_no_warnings(product_coupling):
     assert product_coupling.warnings == ()
-
-
-def test_affine_decompose_air_handling_unit(air_handling_unit):
-    m = air_handling_unit
-    b0, bars = affine_decompose(m.B, m.params())
-    one = Expression(Polynomial.const(1))
-    five = Expression(Polynomial.const(5))
-    assert b0 == ((E_ZERO, E_ZERO), (E_ZERO, E_ZERO))
-    assert bars[0] == ((one, E_ZERO), (E_ZERO, E_ZERO))      # theta1 slope
-    assert bars[1] == ((E_ZERO, E_ZERO), (E_ZERO, E_ZERO))   # theta2 absent
-    assert bars[2] == ((E_ZERO, E_ZERO), (E_ZERO, five))     # 5*theta3
-    assert bars[3] == ((E_ZERO, E_ZERO), (E_ZERO, E_ZERO))
-
-
-def test_affine_decompose_reassembles(goldens):
-    for m in goldens.values():
-        params = m.params()
-        for mat in (m.A, m.B, m.C, m.D):
-            if not mat:
-                continue
-            x0, bars = affine_decompose(mat, params)
-            for i, row in enumerate(mat):
-                for j, e in enumerate(row):
-                    acc = x0[i][j]
-                    for p, bar in zip(params, bars):
-                        acc = acc + Expression.var(p) * bar[i][j]
-                    assert acc == e
 
 
 def test_print_model_round_trip(goldens):

@@ -214,6 +214,34 @@ def test_poly_gcd_of_coprime_is_constant():
     assert g.is_constant() and not g.is_zero()
 
 
+def test_poly_gcd_with_a_monomial_takes_least_exponents():
+    rng = random.Random(5)
+    indets = [TH1, TH2, U, Y, X2]
+    checked = 0
+    for _ in range(300):
+        exps = {v: rng.randint(0, 3) for v in indets}
+        mono = P.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                rng.randint(1, 4)))
+        for v, e in exps.items():
+            if e:
+                mono = mono * pv(v, e)
+        other = rand_poly(rng, indets, max_terms=4, max_deg=3)
+        if mono.is_constant() or other.is_constant():
+            continue
+        want = P.const(1)
+        for v in indets:
+            low = min([exps[v]] + [dict(m).get(v, 0) for m in other.terms])
+            if low:
+                want = want * pv(v, low)
+        for a, b in ((mono, other), (other, mono)):
+            g = poly_gcd(a, b)
+            assert g == want
+            assert exact_div(a, g) * g == a
+            assert exact_div(b, g) * g == b
+        checked += 1
+    assert checked > 150
+
+
 def test_poly_lcm_product_relation():
     a = (pv(U) + P.const(1)) * pv(TH1)
     b = (pv(U) + P.const(1)) * pv(Y)
