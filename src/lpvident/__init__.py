@@ -10,7 +10,6 @@ identifiable with a finite solution count, or non-identifiable.
 from .classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
                        ParamStatus, Verdict, classify, draw_theta_ref,
                        evaluate_summary, jacobian_local_test)
-from .cli import AnalysisConfig, main, run_analyze, run_iop, run_local, run_verify
 from .elimination import NullspaceBasis, left_nullspace, rank_rational
 from .errors import (BudgetExceeded, DenominatorVanishes,
                      DenominatorVanishesAtTheta, DimensionMismatch,
@@ -25,8 +24,8 @@ from .groebner import (GPoly, GroebnerBasis, groebner_basis, reduce_gpoly,
 from .indets import Indeterminate, Kind, Role, parameter, ref_parameter, signal
 from .iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
 from .model import LpvModel, ParseDiagnostic, parse_model, print_model
-from .poly import (MonomialOrder, Polynomial, collect, exact_div,
-                   normalize_primitive, poly_gcd, poly_lcm, poly_text)
+from .poly import (Polynomial, collect, exact_div, normalize_primitive,
+                   poly_gcd, poly_lcm, poly_text)
 from .stacking import StackedSystem, binom_schedule, build_stack
 from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
                      discrete_trajectory_check, output_closure,
@@ -35,12 +34,12 @@ from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "BacksubReport", "BudgetExceeded", "DenominatorVanishes",
+    "BacksubReport", "BudgetExceeded", "DenominatorVanishes",
     "DenominatorVanishesAtTheta", "DimensionMismatch", "EmptyNullspace",
     "ExactDivisionError", "ExhaustiveSummary", "Expression", "GLOBAL", "GPoly",
     "GroebnerBasis", "Indeterminate", "IopSet", "Kind", "LOCAL",
     "LpvIdentError", "LpvModel", "ModelError", "ModelSyntaxError",
-    "MonomialOrder", "NON_IDENTIFIABLE", "NoParameterDependence",
+    "NON_IDENTIFIABLE", "NoParameterDependence",
     "NotAffineInParameters", "NullspaceBasis", "OrderTooLargeForBudget",
     "ParamStatus", "ParseDiagnostic", "Polynomial", "Role", "StackedSystem",
     "StateInMatrixEntry", "StateNotEliminated", "TrajectoryReport",
@@ -49,9 +48,9 @@ __all__ = [
     "clear_denominators", "collect", "discrete_trajectory_check",
     "draw_theta_ref", "evaluate_summary", "exact_div", "expr_text",
     "extract_summary", "form_iop", "groebner_basis", "jacobian_local_test",
-    "left_nullspace", "main", "normalize_primitive", "output_closure",
+    "left_nullspace", "normalize_primitive", "output_closure",
     "parameter", "parse_model", "poly_gcd", "poly_lcm", "poly_text",
     "print_model", "rank_rational", "reduce_gpoly", "ref_parameter",
-    "run_analyze", "run_iop", "run_local", "run_verify", "s_polynomial",
+    "s_polynomial",
     "signal", "stack_substitution_check", "univariate_members",
 ]

@@ -22,11 +22,10 @@ from fractions import Fraction
 from .errors import (BudgetExceeded, DenominatorVanishesAtTheta,
                      LpvIdentError)
 from .expr import Expression
-from .groebner import (GroebnerBasis, MonomialOrder, gpoly_text,
-                       groebner_basis, univariate_members)
-from .indets import Indeterminate, Kind, Role, ref_parameter
+from .groebner import gpoly_text, groebner_basis, univariate_members
+from .indets import Indeterminate, ref_parameter
 from .iop import ExhaustiveSummary, IopSet
-from .poly import Polynomial, normalize_primitive
+from .poly import normalize_primitive
 
 GLOBAL = "Global"
 LOCAL = "Local"
@@ -126,8 +125,7 @@ def _classify_parameter(gens: list, params: list, target: Indeterminate,
                         pair_budget: int, degree_budget: int) -> tuple:
     """(ParamStatus, elimination polynomial text or None, GroebnerBasis)."""
     seq = [p for p in params if p != target] + [target]
-    order = MonomialOrder.lex(seq)
-    gb = groebner_basis(gens, order, pair_budget, degree_budget)
+    gb = groebner_basis(gens, seq, pair_budget, degree_budget)
     uni = univariate_members(gb, target)
     uni = [g for g in uni if g.degree() >= 1]
     if not uni:
@@ -142,18 +140,14 @@ def _classify_parameter(gens: list, params: list, target: Indeterminate,
 
 def _check_root(g, target: Indeterminate, theta_ref: dict | None):
     """A monic degree-1 elimination polynomial must vanish at theta_ref."""
-    idx = g.order.variables.index(target)
-    const = None
-    for m, c in g.terms.items():
-        if sum(m) == 0:
-            const = c
+    const = g.terms.get((0,) * len(g.variables))
     if const is None:
         return  # root is zero; theta_ref never contains zero
     root = -const
     if theta_ref is None:
-        expected = Expression(Polynomial.var(ref_parameter(target.index)))
+        expected = Expression.var(ref_parameter(target.index))
     else:
-        expected = Expression(Polynomial.const(theta_ref[target]))
+        expected = theta_ref[target]
     if root != expected:
         raise LpvIdentError(
             f"inconsistent elimination ideal: root {root} != reference point")

@@ -1,34 +1,39 @@
-"""Buchberger's algorithm over a coefficient field.
+"""Buchberger's algorithm in lex order over exponent tuples.
 
-Generators are polynomials in the model parameters whose coefficients live
-in an exact field: the rationals in numeric mode, rational functions of the
-reference parameters in symbolic mode.  Both are Expression values, so the
-same code serves both.  Pairs are processed smallest lcm first, the
-coprime-leading-term criterion discards product pairs, and the result is
-inter-reduced to the unique reduced basis with monic generators.  Pair and
-degree budgets convert runaway computations into BudgetExceeded.
+A GPoly maps exponent tuples, aligned with a variable sequence that lists
+the largest variable first, to coefficients in an exact field.  Lex order
+on such tuples is Python's own tuple order, so the leading term is
+max(terms).  A coefficient is a Fraction unless its term carries reference
+parameters (symbolic mode); only then is it an Expression, a rational
+function of those parameters.  Pairs are processed smallest lcm first, the
+coprime-leading-term criterion discards product pairs, reduction works in
+place on one term dict, and the result is inter-reduced to the unique
+reduced basis with monic generators.  Pair and degree budgets convert
+runaway computations into BudgetExceeded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, sub
 
 from .errors import BudgetExceeded
-from .expr import E_ONE, Expression, expr_text
+from .expr import Expression, expr_text
 from .indets import Indeterminate, Kind
-from .poly import MonomialOrder, Polynomial
+from .poly import Polynomial, collect
 
 
 @dataclass
 class GPoly:
-    """Polynomial in the order's variables with Expression coefficients."""
-    terms: dict          # exponent tuple -> Expression (nonzero)
-    order: MonomialOrder
+    """Polynomial in the variables with Fraction or Expression coefficients."""
+    terms: dict          # exponent tuple -> coefficient (nonzero)
+    variables: tuple     # largest variable first
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def leading(self) -> tuple:
-        m = max(self.terms, key=self.order.key())
+        m = max(self.terms)
         return m, self.terms[m]
 
     def degree(self) -> int:
@@ -38,70 +43,55 @@ class GPoly:
         if not self.terms:
             return self
         _, lc = self.leading()
-        return GPoly({m: c / lc for m, c in self.terms.items()}, self.order)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return GPoly({m: c / lc for m, c in self.terms.items()}, self.variables)
 
 
-def _add_term(terms: dict, m: tuple, c: Expression):
-    s = terms.get(m)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(m, None)
-    else:
-        terms[m] = s
+def _sub_scaled(terms: dict, g: GPoly, mono: tuple, coeff) -> None:
+    """terms -= coeff * x^mono * g, in place."""
+    for m, c in g.terms.items():
+        m = tuple(map(add, m, mono))
+        s = terms.get(m)
+        s = -(coeff * c) if s is None else s - coeff * c
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
 
 
-def gp_sub_scaled(a: GPoly, b: GPoly, mono: tuple, coeff: Expression) -> GPoly:
-    """a - coeff * x^mono * b."""
-    terms = dict(a.terms)
-    for m, c in b.terms.items():
-        shifted = tuple(x + y for x, y in zip(m, mono))
-        _add_term(terms, shifted, -(coeff * c))
-    return GPoly(terms, a.order)
+def gpoly_from_polynomial(p: Polynomial, variables) -> GPoly:
+    """Split a mixed polynomial into monomials in the variables and field
+    coefficients.
 
-
-def gpoly_from_polynomial(p: Polynomial, order: MonomialOrder) -> GPoly:
-    """Split a mixed polynomial into order-variables vs field coefficients.
-
-    Indeterminates outside the order's variables (reference parameters)
-    move into the coefficients.
+    Indeterminates outside the variables (reference parameters) move into
+    the coefficients.
     """
-    pos = {v: i for i, v in enumerate(order.variables)}
+    variables = tuple(variables)
     terms: dict = {}
-    for m, c in p.terms.items():
-        exps = [0] * len(order.variables)
-        rest = []
-        for v, e in m:
-            if v in pos:
-                exps[pos[v]] = e
-            else:
-                if v.kind is not Kind.REF_PARAMETER:
-                    raise ValueError(
-                        f"generator contains non-parameter indeterminate {v.display()}")
-                rest.append((v, e))
-        coeff = Expression(Polynomial({tuple(rest): c}))
-        _add_term(terms, tuple(exps), coeff)
-    return GPoly(terms, order)
+    for m, c in collect(p, set(variables)).items():
+        bad = [v for cm in c.terms for v, _ in cm if v.kind is not Kind.REF_PARAMETER]
+        if bad:
+            raise ValueError(
+                f"generator contains non-parameter indeterminate {bad[0].display()}")
+        exps = dict(m)
+        terms[tuple(exps.get(v, 0) for v in variables)] = (
+            c.constant_value() if c.is_constant() else Expression(c))
+    return GPoly(terms, variables)
 
 
 def gpoly_text(g: GPoly) -> str:
     if g.is_zero():
         return "0"
-    items = sorted(g.terms.items(), key=lambda t: g.order.key()(t[0]), reverse=True)
     chunks = []
-    for m, c in items:
+    for m, c in sorted(g.terms.items(), reverse=True):
+        if isinstance(c, Fraction):
+            c = Expression(c)
         mono = "*".join(
             (v.display() if e == 1 else f"{v.display()}^{e}")
-            for v, e in zip(g.order.variables, m) if e)
+            for v, e in zip(g.variables, m) if e)
         cs = expr_text(c)
         if not mono:
             body = cs if c.is_polynomial() and len(c.num.terms) <= 1 else f"({cs})"
-        elif c == E_ONE:
+        elif c == 1:
             body = mono
         elif c == -1:
             body = f"-{mono}"
@@ -129,64 +119,60 @@ def _lcm(a: tuple, b: tuple) -> tuple:
 
 def reduce_gpoly(f: GPoly, basis: list) -> GPoly:
     """Full normal form of f modulo basis (leading and tail reduction)."""
-    order = f.order
+    leads = [g.leading() for g in basis]
+    work = dict(f.terms)
     remainder: dict = {}
-    work = GPoly(dict(f.terms), order)
-    while not work.is_zero():
-        m, c = work.leading()
-        reducer = None
-        for g in basis:
-            gm, _ = g.leading()
+    while work:
+        m = max(work)
+        c = work[m]
+        for g, (gm, gc) in zip(basis, leads):
             if _divides(gm, m):
-                reducer = g
+                _sub_scaled(work, g, tuple(map(sub, m, gm)), c / gc)
                 break
-        if reducer is None:
-            _add_term(remainder, m, c)
-            work = GPoly({mm: cc for mm, cc in work.terms.items() if mm != m}, order)
-            continue
-        gm, gc = reducer.leading()
-        quot = tuple(x - y for x, y in zip(m, gm))
-        work = gp_sub_scaled(work, reducer, quot, c / gc)
-    return GPoly(remainder, order)
+        else:
+            remainder[m] = work.pop(m)
+    return GPoly(remainder, f.variables)
 
 
 def s_polynomial(f: GPoly, g: GPoly) -> GPoly:
     fm, fc = f.leading()
     gm, gc = g.leading()
     l = _lcm(fm, gm)
-    lhs = gp_sub_scaled(GPoly({}, f.order), f,
-                        tuple(x - y for x, y in zip(l, fm)), -(E_ONE / fc))
-    return gp_sub_scaled(lhs, g, tuple(x - y for x, y in zip(l, gm)), E_ONE / gc)
+    terms: dict = {}
+    _sub_scaled(terms, f, tuple(map(sub, l, fm)), -(1 / fc))
+    _sub_scaled(terms, g, tuple(map(sub, l, gm)), 1 / gc)
+    return GPoly(terms, f.variables)
 
 
 @dataclass
 class GroebnerBasis:
     generators: list      # reduced, monic, sorted by decreasing leading term
-    order: MonomialOrder
+    variables: tuple      # lex order, largest variable first
     pair_reductions: int = 0
 
     def texts(self) -> list:
         return [gpoly_text(g) for g in self.generators]
 
 
-def groebner_basis(generators: list, order: MonomialOrder,
+def groebner_basis(generators: list, variables,
                    pair_budget: int = 20000, degree_budget: int = 60) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by the generators.
+    """Reduced lex Groebner basis of the ideal spanned by the generators.
 
-    Accepts Polynomial (mixed parameter/reference indeterminates) or GPoly
-    inputs.  Raises BudgetExceeded when the pair queue or any intermediate
-    degree outgrows the budgets.
+    The variables are listed largest first.  Accepts Polynomial (mixed
+    parameter/reference indeterminates) or GPoly inputs.  Raises
+    BudgetExceeded when the pair queue or any intermediate degree outgrows
+    the budgets.
     """
-    gens = []
+    variables = tuple(variables)
+    basis = []
     for g in generators:
-        gp = g if isinstance(g, GPoly) else gpoly_from_polynomial(g, order)
+        gp = g if isinstance(g, GPoly) else gpoly_from_polynomial(g, variables)
         if not gp.is_zero():
-            gens.append(gp.monic())
-    if not gens:
-        return GroebnerBasis([], order)
+            basis.append(gp.monic())
+    if not basis:
+        return GroebnerBasis([], variables)
 
-    basis = list(gens)
-    key = order.key()
+    leads = [g.leading()[0] for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     reductions = 0
     while pairs:
@@ -194,14 +180,12 @@ def groebner_basis(generators: list, order: MonomialOrder,
             raise BudgetExceeded(
                 f"pair budget {pair_budget} exhausted in Buchberger loop")
         # normal selection: smallest lcm under the order
-        i, j = min(pairs, key=lambda p: (key(_lcm(basis[p[0]].leading()[0],
-                                                  basis[p[1]].leading()[0])), p))
+        i, j = min(pairs, key=lambda p: (_lcm(leads[p[0]], leads[p[1]]), p))
         pairs.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        mi, mj = fi.leading()[0], fj.leading()[0]
-        if _lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
+        mi, mj = leads[i], leads[j]
+        if _lcm(mi, mj) == tuple(map(add, mi, mj)):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = s_polynomial(fi, fj)
+        s = s_polynomial(basis[i], basis[j])
         reductions += 1
         r = reduce_gpoly(s, basis)
         if r.is_zero():
@@ -209,21 +193,18 @@ def groebner_basis(generators: list, order: MonomialOrder,
         if r.degree() > degree_budget:
             raise BudgetExceeded(
                 f"degree budget {degree_budget} exceeded during reduction")
-        r = r.monic()
         k = len(basis)
-        basis.append(r)
+        basis.append(r.monic())
+        leads.append(r.leading()[0])
         pairs |= {(t, k) for t in range(k)}
 
-    reduced = _inter_reduce(basis)
-    return GroebnerBasis(reduced, order, reductions)
+    return GroebnerBasis(_inter_reduce(basis, leads), variables, reductions)
 
 
-def _inter_reduce(basis: list) -> list:
+def _inter_reduce(basis: list, leads: list) -> list:
     """Minimal then fully reduced basis, monic, deterministic order."""
-    key = basis[0].order.key() if basis else None
     # drop generators whose leading monomial is divisible by another's
     kept = []
-    leads = [g.leading()[0] for g in basis]
     for i, g in enumerate(basis):
         mi = leads[i]
         if any(j != i and _divides(leads[j], mi)
@@ -236,13 +217,13 @@ def _inter_reduce(basis: list) -> list:
         r = reduce_gpoly(g, others) if others else g
         if not r.is_zero():
             out.append(r.monic())
-    out.sort(key=lambda g: key(g.leading()[0]), reverse=True)
+    out.sort(key=lambda g: g.leading()[0], reverse=True)
     return out
 
 
 def univariate_members(basis: GroebnerBasis, var: Indeterminate) -> list:
-    """Basis generators involving only the given order variable."""
-    idx = basis.order.variables.index(var)
+    """Basis generators involving only the given variable."""
+    idx = basis.variables.index(var)
     out = []
     for g in basis.generators:
         if all(all(e == 0 for k, e in enumerate(m) if k != idx)

@@ -9,7 +9,7 @@ always rank below signal monomials of equal degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DimensionMismatch, LpvIdentError, ModelSyntaxError,
                      NotAffineInParameters, StateInMatrixEntry,
                      UnknownSymbol)
-from .indets import Indeterminate, Kind, Role, parameter, signal
+from .indets import Kind, Role, parameter, signal
 from .expr import Expression, expr_text
 from .poly import Polynomial
 

@@ -27,6 +27,11 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def _mono(d: dict) -> Monomial:
+    """The canonical monomial of an {indeterminate: exponent} dict."""
+    return tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -35,7 +40,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = dict(a)
     for v, e in b:
         out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items(), key=lambda p: p[0].sort_key))
+    return _mono(out)
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -49,16 +54,12 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
             out.pop(v)
         else:
             out[v] = r
-    return tuple(sorted(out.items(), key=lambda p: p[0].sort_key))
+    return _mono(out)
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     db = dict(b)
-    out = []
-    for v, e in a:
-        if v in db:
-            out.append((v, min(e, db[v])))
-    return tuple(sorted(out, key=lambda p: p[0].sort_key))
+    return _mono({v: min(e, db[v]) for v, e in a if v in db})
 
 
 def mono_key(m: Monomial) -> tuple:
@@ -219,28 +220,28 @@ class Polynomial:
 
     def differentiate(self) -> "Polynomial":
         """Time derivative: signals gain one order, parameters are constant."""
-        out = Polynomial()
+        out: dict = {}
         for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
+            for v, e in m:
                 if v.kind is not Kind.SIGNAL:
                     continue
-                rest = list(m)
+                d = dict(m)
                 if e == 1:
-                    rest.pop(i)
+                    d.pop(v)
                 else:
-                    rest[i] = (v, e - 1)
-                bumped = mono_mul(tuple(rest), ((v.with_order(v.order + 1), 1),))
-                out = out + Polynomial({bumped: c * e})
-        return out
+                    d[v] = e - 1
+                w = v.with_order(v.order + 1)
+                d[w] = d.get(w, 0) + 1
+                nm = _mono(d)
+                out[nm] = out.get(nm, Fraction(0)) + c * e
+        return Polynomial(out)
 
     def shift(self) -> "Polynomial":
         """Forward time shift: a ring homomorphism bumping signal orders."""
         out: dict = {}
         for m, c in self.terms.items():
-            nm = tuple(sorted(
-                ((v.with_order(v.order + 1) if v.kind is Kind.SIGNAL else v, e)
-                 for v, e in m),
-                key=lambda p: p[0].sort_key))
+            nm = _mono({(v.with_order(v.order + 1) if v.kind is Kind.SIGNAL
+                         else v): e for v, e in m})
             out[nm] = out.get(nm, Fraction(0)) + c
         return Polynomial(out)
 
@@ -256,7 +257,7 @@ class Polynomial:
                 d.pop(var)
             else:
                 d[var] = e - 1
-            nm = tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
+            nm = _mono(d)
             out[nm] = out.get(nm, Fraction(0)) + c * e
         return Polynomial(out)
 
@@ -280,7 +281,7 @@ class Polynomial:
             for v, e in m:
                 w = mapping.get(v, v)
                 nm[w] = nm.get(w, 0) + e
-            key = tuple(sorted(nm.items(), key=lambda p: p[0].sort_key))
+            key = _mono(nm)
             out[key] = out.get(key, Fraction(0)) + c
         return Polynomial(out)
 
@@ -495,37 +496,6 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return ZERO
     return exact_div(a * b, poly_gcd(a, b)).primitive()
-
-
-class MonomialOrder:
-    """Term order over a fixed variable sequence (largest variable first).
-
-    Exponent tuples are aligned to the sequence.  Lex compares exponents
-    left to right; degrevlex compares total degree, then breaks ties by the
-    smallest variable with the larger exponent losing.
-    """
-
-    __slots__ = ("kind", "variables")
-
-    def __init__(self, kind: str, variables: tuple):
-        if kind not in ("lex", "degrevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.variables = tuple(variables)
-
-    @staticmethod
-    def lex(variables) -> "MonomialOrder":
-        return MonomialOrder("lex", tuple(variables))
-
-    @staticmethod
-    def degrevlex(variables) -> "MonomialOrder":
-        return MonomialOrder("degrevlex", tuple(variables))
-
-    def key(self):
-        """Sort key on aligned exponent tuples (larger key, larger term)."""
-        if self.kind == "lex":
-            return tuple
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
 
 
 # --- printing ---

@@ -22,8 +22,7 @@ from lpvident.groebner import (gpoly_from_polynomial, groebner_basis,
                                reduce_gpoly)
 from lpvident.indets import Role, signal
 from lpvident.iop import extract_summary, form_iop
-from lpvident.poly import (MonomialOrder, Polynomial, normalize_primitive,
-                           poly_text)
+from lpvident.poly import Polynomial, normalize_primitive, poly_text
 from lpvident.stacking import build_stack
 from lpvident.verify import backsubstitute_check, discrete_trajectory_check
 
@@ -87,8 +86,7 @@ def test_criterion_01_product_coupling_pipeline(product_coupling):
     assert _canon_set(summ.elements) == {_canon(p) for p in listed}
 
     params = list(model.params())
-    gb = groebner_basis(evaluate_summary(summ, params),
-                        MonomialOrder.lex(params))
+    gb = groebner_basis(evaluate_summary(summ, params), params)
     assert gb.texts() == ["theta1 - a", "theta2*theta3 - b*c"]
 
     for mode in ("symbolic", "numeric"):
@@ -108,8 +106,7 @@ def test_criterion_02_shared_gain_pipeline(shared_gain):
     assert _canon_set(summ.elements) == {_canon(p) for p in listed}
 
     params = list(model.params())
-    gb = groebner_basis(evaluate_summary(summ, params),
-                        MonomialOrder.lex(params))
+    gb = groebner_basis(evaluate_summary(summ, params), params)
     assert set(gb.texts()) == {"theta1 - a", "theta3 - c", "theta2^2 - b^2"}
 
     for mode in ("symbolic", "numeric"):
@@ -149,22 +146,20 @@ def test_criterion_03_air_handling_unit_numeric(air_handling_unit):
     from lpvident.iop import ExhaustiveSummary
     listed = [Expression(p) for p in _ahu_listed_elements(params)]
     listed_summary = ExhaustiveSummary(listed, [(0, None)] * len(listed))
-    order = MonomialOrder.lex(params + [ref_parameter(i)
-                                        for i in range(1, 5)])
+    seq = params + [ref_parameter(i) for i in range(1, 5)]
     gens_live = evaluate_summary(summ, params)
     gens_listed = evaluate_summary(listed_summary, params)
-    gb_live = groebner_basis(gens_live, order)
-    gb_listed = groebner_basis(gens_listed, order)
-    assert all(reduce_gpoly(gpoly_from_polynomial(g, order),
+    gb_live = groebner_basis(gens_live, seq)
+    gb_listed = groebner_basis(gens_listed, seq)
+    assert all(reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_live.generators).is_zero()
                for g in gens_listed)
-    assert all(reduce_gpoly(gpoly_from_polynomial(g, order),
+    assert all(reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_listed.generators).is_zero()
                for g in gens_live)
 
     ref = {p: Fraction(v) for p, v in zip(params, (1, 2, 3, 5))}
-    gb = groebner_basis(evaluate_summary(summ, params, ref),
-                        MonomialOrder.lex(params))
+    gb = groebner_basis(evaluate_summary(summ, params, ref), params)
     assert set(gb.texts()) == {"theta2 - 2", "theta4 - 5",
                                "theta3 - 3", "theta1 - 1"}
 
@@ -240,10 +235,9 @@ def test_criterion_05_burgers_pipeline(burgers):
     t1, t2 = (V(p) for p in params)
     listed = [Expression(p) for p in (t1, t2, t1 - t2 - t1 * t2)]
     listed_summary = ExhaustiveSummary(listed, [(0, None)] * len(listed))
-    order = MonomialOrder.lex(params + [ref_parameter(i) for i in (1, 2)])
-    gb_listed = groebner_basis(evaluate_summary(listed_summary, params),
-                               order)
-    assert all(reduce_gpoly(gpoly_from_polynomial(g, order),
+    seq = params + [ref_parameter(i) for i in (1, 2)]
+    gb_listed = groebner_basis(evaluate_summary(listed_summary, params), seq)
+    assert all(reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_listed.generators).is_zero()
                for g in evaluate_summary(summ, params))
 
@@ -309,15 +303,15 @@ def test_criterion_09_groebner_property(goldens):
         ref = draw_theta_ref(params, random.Random(1))
         num = evaluate_summary(summ, params, ref)
         for gens in (sym, num):
-            cases.append((gens, MonomialOrder.lex(params)))
+            cases.append((gens, params))
             for target in params:
                 seq = [p for p in params if p != target] + [target]
-                cases.append((gens, MonomialOrder.lex(seq)))
-        for gens, order in cases:
-            gb = groebner_basis(gens, order)
+                cases.append((gens, seq))
+        for gens, seq in cases:
+            gb = groebner_basis(gens, seq)
             assert is_groebner(gb.generators)
             for g in gens:
-                gp = gpoly_from_polynomial(g, order)
+                gp = gpoly_from_polynomial(g, seq)
                 assert reduce_gpoly(gp, gb.generators).is_zero()
 
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpvident
 from conftest import model_path
 from lpvident.cli import main
 
@@ -72,6 +77,23 @@ def test_json_output_is_byte_deterministic(capsys):
     code2, out2, _ = _run(capsys, *argv, "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_module_entry_point_is_silent(capsys, monkeypatch):
+    # `python -m lpvident.cli` must not find the module already imported
+    # by the package, which warns on stderr
+    root = model_path("shared_gain").parent.parent
+    src = str(Path(lpvident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["analyze", "models/shared_gain.lpv", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "lpvident.cli", *argv],
+                          cwd=root, env=env, capture_output=True, text=True)
+    monkeypatch.chdir(root)
+    code, out, _ = _run(capsys, *argv)
+    assert proc.returncode == 0 == code
+    assert proc.stderr == ""
+    assert proc.stdout == out
 
 
 def test_method_both_cross_check(capsys):

@@ -61,6 +61,16 @@ def test_field_laws_on_random_expressions():
             assert a / a == E_ONE
 
 
+def test_truth_value_is_nonzero():
+    # Expression tests false exactly when zero, as Fraction does
+    rng = random.Random(31)
+    exprs = [rand_expr(rng, [TH, U]) for _ in range(25)]
+    exprs += [a - a for a in exprs[:5]] + [E_ZERO, E_ONE, E(P.const(-2))]
+    for e in exprs:
+        assert bool(e) == (not e.is_zero())
+    assert not E_ZERO and E_ONE
+
+
 def test_canonical_form_reduced_and_positive_denominator():
     rng = random.Random(29)
     for _ in range(25):

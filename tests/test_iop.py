@@ -173,7 +173,6 @@ def test_air_handling_unit_reported_summary_same_ideal(air_handling_unit):
     from lpvident.groebner import (gpoly_from_polynomial, groebner_basis,
                                    reduce_gpoly)
     from lpvident.indets import ref_parameter
-    from lpvident.poly import MonomialOrder
 
     model = air_handling_unit
     _, _, summ = _pipeline(model)
@@ -183,14 +182,13 @@ def test_air_handling_unit_reported_summary_same_ideal(air_handling_unit):
     live_gens = evaluate_summary(summ, params)
     listed_gens = evaluate_summary(listed, params)
     seq = params + [ref_parameter(i) for i in range(1, 5)]
-    order = MonomialOrder.lex(seq)
-    gb_live = groebner_basis(live_gens, order)
-    gb_listed = groebner_basis(listed_gens, order)
+    gb_live = groebner_basis(live_gens, seq)
+    gb_listed = groebner_basis(listed_gens, seq)
     for g in listed_gens:
-        assert reduce_gpoly(gpoly_from_polynomial(g, order),
+        assert reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_live.generators).is_zero()
     for g in live_gens:
-        assert reduce_gpoly(gpoly_from_polynomial(g, order),
+        assert reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_listed.generators).is_zero()
 
 
@@ -206,7 +204,6 @@ def test_burgers_reported_summary_equivalence(burgers):
     from lpvident.groebner import (gpoly_from_polynomial, groebner_basis,
                                    reduce_gpoly)
     from lpvident.indets import ref_parameter
-    from lpvident.poly import MonomialOrder
 
     model = burgers
     _, _, summ = _pipeline(model)
@@ -217,16 +214,15 @@ def test_burgers_reported_summary_equivalence(burgers):
     listed = ExhaustiveSummary(reported, [(0, None)] * len(reported))
 
     seq = params + [ref_parameter(i) for i in range(1, 3)]
-    order = MonomialOrder.lex(seq)
     live_gens = evaluate_summary(summ, params)
     listed_gens = evaluate_summary(listed, params)
-    gb_listed = groebner_basis(listed_gens, order)
+    gb_listed = groebner_basis(listed_gens, seq)
     for g in live_gens:
-        assert reduce_gpoly(gpoly_from_polynomial(g, order),
+        assert reduce_gpoly(gpoly_from_polynomial(g, seq),
                             gb_listed.generators).is_zero()
     # theta1 - a is only reachable after scaling by the theta2 reference
-    gb_live = groebner_basis(live_gens, order)
-    residues = [reduce_gpoly(gpoly_from_polynomial(g, order),
+    gb_live = groebner_basis(live_gens, seq)
+    residues = [reduce_gpoly(gpoly_from_polynomial(g, seq),
                              gb_live.generators) for g in listed_gens]
     assert any(not r.is_zero() for r in residues)
 
