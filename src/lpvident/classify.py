@@ -8,6 +8,12 @@ off lex Groebner bases that eliminate all other parameters; the elimination
 ideal in one parameter over a field is principal, so the reduced basis
 contains at most one generator purely in that parameter.
 
+Each trial computes the lex(params) basis first.  A generator theta_i - c
+of it proves theta_i = c on the whole solution set, so it generates the
+elimination ideal in theta_i: theta_i is Global, read off that basis.  Only
+the parameters it leaves unfixed (besides the last, which it eliminates
+already) get a basis of their own, with the parameter last.
+
 Symbolic mode substitutes reference parameters (a, b, c, ...) and works
 over the rational-function coefficient field; numeric mode draws distinct
 random primes for theta_ref and repeats over several trials, aggregating by
@@ -120,22 +126,34 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
     return gens
 
 
+def _fixes(basis, target: Indeterminate) -> bool:
+    """Whether the reduced basis holds a generator target - c."""
+    return any(g.degree() == 1 for g in univariate_members(basis, target))
+
+
 def _classify_parameter(gens: list, params: list, target: Indeterminate,
-                        theta_ref: dict | None,
+                        full, theta_ref: dict | None,
                         pair_budget: int, degree_budget: int) -> tuple:
-    """(ParamStatus, elimination polynomial text or None, GroebnerBasis)."""
-    seq = [p for p in params if p != target] + [target]
-    gb = groebner_basis(gens, seq, pair_budget, degree_budget)
+    """(ParamStatus, elimination polynomial text or None).
+
+    The verdict is read off the trial's lex(params) basis full when target
+    is last in it or fixed by it; otherwise off target's own basis.
+    """
+    if full is not None and (target == params[-1] or _fixes(full, target)):
+        gb = full
+    else:
+        seq = [p for p in params if p != target] + [target]
+        gb = groebner_basis(gens, seq, pair_budget, degree_budget)
     uni = univariate_members(gb, target)
     uni = [g for g in uni if g.degree() >= 1]
     if not uni:
-        return ParamStatus(NON_IDENTIFIABLE), None, gb
+        return ParamStatus(NON_IDENTIFIABLE), None
     g = min(uni, key=lambda u: u.degree())
     d = g.degree()
     if d == 1:
         _check_root(g, target, theta_ref)
-        return ParamStatus(GLOBAL), gpoly_text(g), gb
-    return ParamStatus(LOCAL, d), gpoly_text(g), gb
+        return ParamStatus(GLOBAL), gpoly_text(g)
+    return ParamStatus(LOCAL, d), gpoly_text(g)
 
 
 def _check_root(g, target: Indeterminate, theta_ref: dict | None):
@@ -187,21 +205,29 @@ def classify(summary: ExhaustiveSummary, params: list, mode: str = "numeric",
                           {p.base: str(v) for p, v in theta_ref.items()}),
             "generators": [repr(g) for g in gens],
         }
+        # lex(params) first: the parameters it fixes need no basis of their own
+        try:
+            full = groebner_basis(gens, params, pair_budget, degree_budget)
+            trial_ev["basis"] = full.texts()
+        except BudgetExceeded as exc:
+            full = None
+            trial_ev["basis_error"] = str(exc)
         statuses = {}
         elim = {}
         for p in params:
-            try:
-                st, poly_text_, gb = _classify_parameter(
-                    gens, params, p, theta_ref, pair_budget, degree_budget)
-            except BudgetExceeded as exc:
-                st, poly_text_, gb = ParamStatus(UNDETERMINED), str(exc), None
+            if full is None and p == params[-1]:
+                # its own basis is lex(params), which already ran out
+                st, poly_text_ = (ParamStatus(UNDETERMINED),
+                                  trial_ev["basis_error"])
+            else:
+                try:
+                    st, poly_text_ = _classify_parameter(
+                        gens, params, p, full, theta_ref, pair_budget,
+                        degree_budget)
+                except BudgetExceeded as exc:
+                    st, poly_text_ = ParamStatus(UNDETERMINED), str(exc)
             statuses[p.base] = st
             elim[p.base] = poly_text_
-        # the last parameter is eliminated under lex(params): the trial's basis
-        if gb is None:
-            trial_ev["basis_error"] = poly_text_
-        else:
-            trial_ev["basis"] = gb.texts()
         trial_ev["elimination"] = elim
         trial_ev["statuses"] = {k: v.render() for k, v in statuses.items()}
         evidence.append(trial_ev)

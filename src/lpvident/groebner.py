@@ -43,7 +43,15 @@ class GPoly:
         if not self.terms:
             return self
         _, lc = self.leading()
-        return GPoly({m: c / lc for m, c in self.terms.items()}, self.variables)
+        return GPoly({m: _field(c / lc) for m, c in self.terms.items()},
+                     self.variables)
+
+
+def _field(c):
+    """c, back as a Fraction when Expression arithmetic left it constant."""
+    if isinstance(c, Expression) and c.is_constant():
+        return c.constant_value()
+    return c
 
 
 def _sub_scaled(terms: dict, g: GPoly, mono: tuple, coeff) -> None:
@@ -53,7 +61,7 @@ def _sub_scaled(terms: dict, g: GPoly, mono: tuple, coeff) -> None:
         s = terms.get(m)
         s = -(coeff * c) if s is None else s - coeff * c
         if s:
-            terms[m] = s
+            terms[m] = _field(s)
         else:
             del terms[m]
 

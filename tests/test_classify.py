@@ -11,11 +11,13 @@ from lpvident.classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
                                evaluate_summary, jacobian_local_test,
                                model_status_of)
 from lpvident.elimination import left_nullspace
-from lpvident.errors import DenominatorVanishesAtTheta
+from lpvident.errors import BudgetExceeded, DenominatorVanishesAtTheta
 from lpvident.expr import Expression
-from lpvident.groebner import groebner_basis
+from lpvident.groebner import (gpoly_text, groebner_basis,
+                               univariate_members)
 from lpvident.iop import ExhaustiveSummary, extract_summary, form_iop
 from lpvident.indets import parameter
+from lpvident.model import parse_model
 from lpvident.poly import Polynomial, poly_text
 from lpvident.stacking import build_stack
 
@@ -89,8 +91,22 @@ def test_evidence_records_bases(shared_gain):
     assert trial["elimination"]["theta2"] == "theta2^2 - b^2"
 
 
+def _trial_generators(summ, params, trial):
+    """The generators a recorded trial was classified from."""
+    if trial["theta_ref"] == "symbolic":
+        return evaluate_summary(summ, params)
+    ref = {p: Fraction(trial["theta_ref"][p.base]) for p in params}
+    return evaluate_summary(summ, params, ref)
+
+
+# per trial: lex(params) first, then the parameters its basis leaves unfixed
+BASIS_LAST_VARIABLES = {"air_handling_unit": ["theta4"],
+                        "shared_gain": ["theta3", "theta2"]}
+
+
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-def test_one_basis_per_parameter_and_trial(goldens, mode, monkeypatch):
+def test_one_basis_per_trial_plus_unfixed_parameters(goldens, mode,
+                                                     monkeypatch):
     # the package re-exports the function classify under the module's name
     classify_mod = importlib.import_module("lpvident.classify")
     calls = []
@@ -100,21 +116,92 @@ def test_one_basis_per_parameter_and_trial(goldens, mode, monkeypatch):
         return groebner_basis(*args, **kwargs)
 
     monkeypatch.setattr(classify_mod, "groebner_basis", counted)
-    for name in ("shared_gain", "air_handling_unit"):
+    for name, last in BASIS_LAST_VARIABLES.items():
         _, summ, params = _summary(goldens[name])
         calls.clear()
         v = classify(summ, params, mode=mode, trials=3)
-        # one elimination basis per parameter and trial, and nothing more
-        assert [seq[-1] for seq in calls] == params * v.trials, name
+        assert [seq[-1].base for seq in calls] == last * v.trials, name
+        assert all(list(seq) == params for seq in calls[::len(last)]), name
         for trial in v.evidence:
-            if mode == "symbolic":
-                gens = evaluate_summary(summ, params)
-            else:
-                ref = {p: Fraction(trial["theta_ref"][p.base]) for p in params}
-                gens = evaluate_summary(summ, params, ref)
             # the trial's basis is the lex(params) basis of its generators
-            full = groebner_basis(gens, params)
+            full = groebner_basis(_trial_generators(summ, params, trial),
+                                  params)
             assert trial["basis"] == full.texts(), name
+            assert "basis_error" not in trial
+
+
+def _per_parameter_answer(gens, params):
+    """Statuses and elimination texts from one basis per parameter, each
+    with that parameter last: the answer classify must reproduce."""
+    statuses, elim = {}, {}
+    for p in params:
+        gb = groebner_basis(gens, [v for v in params if v != p] + [p])
+        uni = [g for g in univariate_members(gb, p) if g.degree() >= 1]
+        if not uni:
+            statuses[p.base], elim[p.base] = "NonIdentifiable", None
+            continue
+        g = min(uni, key=lambda u: u.degree())
+        statuses[p.base] = ("Global" if g.degree() == 1
+                            else f"Local({g.degree()})")
+        elim[p.base] = gpoly_text(g)
+    return statuses, elim
+
+
+CHAIN3_DISCRETE = (
+    "time: discrete\nstates: x1, x2, x3\ninputs: u\noutputs: y\n"
+    "params: theta1, theta2, theta3, theta4, theta5\n"
+    "A: [theta1*u, theta4, 0; 1, theta2*u, theta5; 0, 1, theta3*u]\n"
+    "B: [1; 0; 0]\nC: [1, 0, 0]\n")
+
+
+def _coupled_local_case():
+    # Pi = {theta1 - theta2, theta2^2}: both parameters are Local(2), yet
+    # lex(params) holds no member in theta1 alone, so theta1 needs its own
+    t1, t2 = parameter("theta1", 1), parameter("theta2", 2)
+    p1, p2 = Polynomial.var(t1), Polynomial.var(t2)
+    summ = ExhaustiveSummary([Expression(p1 - p2), Expression(p2 * p2)],
+                             [(0, None), (1, None)])
+    return "coupled_local", summ, [t1, t2]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_verdicts_match_per_parameter_bases(goldens, mode):
+    cases = [(name, *_summary(model)[1:]) for name, model in goldens.items()]
+    cases.append(("chain3", *_summary(parse_model(CHAIN3_DISCRETE), 4)[1:]))
+    cases.append(_coupled_local_case())
+    for name, summ, params in cases:
+        v = classify(summ, params, mode=mode, trials=3)
+        for trial in v.evidence:
+            gens = _trial_generators(summ, params, trial)
+            statuses, elim = _per_parameter_answer(gens, params)
+            assert trial["statuses"] == statuses, name
+            assert trial["elimination"] == elim, name
+
+
+def test_fixed_parameters_never_run_out_of_budget(goldens, monkeypatch):
+    # every order but lex(params) overruns: a parameter that basis fixes is
+    # still Global, and only an unfixed one turns Undetermined
+    classify_mod = importlib.import_module("lpvident.classify")
+    message = "pair budget 1 exhausted in Buchberger loop"
+
+    def lex_params_only(gens, seq, *args):
+        if list(seq) != params:
+            raise BudgetExceeded(message)
+        return groebner_basis(gens, seq, *args)
+
+    monkeypatch.setattr(classify_mod, "groebner_basis", lex_params_only)
+    _, summ, params = _summary(goldens["air_handling_unit"])
+    for mode in ("symbolic", "numeric"):
+        v = classify(summ, params, mode=mode)
+        assert set(_statuses(v).values()) == {"Global"}
+        assert all("basis_error" not in t for t in v.evidence)
+    _, summ, params = _summary(goldens["shared_gain"])
+    for mode in ("symbolic", "numeric"):
+        v = classify(summ, params, mode=mode)
+        assert _statuses(v) == {"theta1": "Global", "theta2": "Undetermined",
+                                "theta3": "Global"}
+        for trial in v.evidence:
+            assert trial["elimination"]["theta2"] == message
             assert "basis_error" not in trial
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report schema, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import lpvident
 from conftest import model_path
 from lpvident.cli import main
+from lpvident.groebner import groebner_basis
 
 
 def _run(capsys, *argv):
@@ -228,6 +230,42 @@ def test_sweep_waits_for_every_output(tmp_path, capsys, command):
         0 if command == "verify" else 1)
     if command != "verify":
         assert report["verdict"]["achieved_at_order"] == 2
+
+
+# discrete Chain(4): tridiagonal A with diagonal theta_k*u, super-diagonal
+# theta5..theta7 and sub-diagonal 1, B = e1, C = e1^T; every parameter is
+# Global
+CHAIN4_DISCRETE = """time: discrete
+states: x1, x2, x3, x4
+inputs: u
+outputs: y
+params: theta1, theta2, theta3, theta4, theta5, theta6, theta7
+A: [theta1*u, theta5, 0, 0; 1, theta2*u, theta6, 0; 0, 1, theta3*u, theta7; \
+0, 0, 1, theta4*u]
+B: [1; 0; 0; 0]
+C: [1, 0, 0, 0]
+"""
+
+
+def test_chain4_needs_one_basis_per_trial(tmp_path, capsys, monkeypatch):
+    # lex(params) fixes all seven parameters, so no other basis is built
+    classify_mod = importlib.import_module("lpvident.classify")
+    bases = []
+
+    def counted(*args, **kwargs):
+        bases.append(args[1])
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "groebner_basis", counted)
+    path = tmp_path / "chain4.lpv"
+    path.write_text(CHAIN4_DISCRETE)
+    code, report, _ = _run_json(capsys, "analyze", path)
+    assert code == 0
+    verdict = report["verdict"]
+    assert verdict["model"] == "Global"
+    assert [p["status"] for p in verdict["parameters"].values()] == (
+        ["Global"] * 7)
+    assert len(bases) == verdict["trials"] == 5
 
 
 def test_warnings_render_in_text_report(capsys):

@@ -122,12 +122,18 @@ def test_pair_reductions_pinned(goldens):
     assert gb.pair_reductions == 182
 
 
-def test_coefficient_types(henon):
-    # rationals stay Fraction; only terms with reference parameters lift
+def test_coefficient_types(goldens):
+    # rationals stay Fraction; only terms with reference parameters lift, and
+    # a coefficient that Expression arithmetic leaves constant drops back
     gb = _numeric_chain3_basis()
     assert all(type(c) is Fraction
                for g in gb.generators for c in g.terms.values())
-    gb, _ = _symbolic_basis(henon)
+    for name in ("air_handling_unit", "henon", "burgers_discretized"):
+        gb, _ = _symbolic_basis(goldens[name])
+        assert all(type(c) is Fraction
+                   for g in gb.generators for c in g.terms.values()
+                   if not isinstance(c, Expression) or c.is_constant()), name
+    gb, _ = _symbolic_basis(goldens["henon"])
     lifted = [repr(c) for g in gb.generators for c in g.terms.values()
               if isinstance(c, Expression)]
     assert "(-c) / (d)" in lifted
