@@ -174,7 +174,8 @@ def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
     counters["verifier_checks"] += 2
     if model.discrete:
         theta = draw_theta_ref(model.params(), random.Random(config.seed))
-        rep = discrete_trajectory_check(model, iop, theta, steps=12,
+        rep = discrete_trajectory_check(model, iop, theta,
+                                        steps=max(12, iop.order + 1),
                                         seed=config.seed)
         out["trajectory"] = {"ok": rep.ok, "windows": rep.windows,
                              "max_residual": str(rep.max_residual)}

@@ -3,6 +3,12 @@
 Invariant: gcd(num, den) = 1 and den is primitive with a positive leading
 coefficient under the canonical order, so structurally equal expressions
 are mathematically equal and vice versa.
+
+Substitution into a polynomial brings every term over one common
+denominator (the product of each binding's denominator raised to the
+largest exponent of its indeterminate), sums the numerators in one term
+dict and normalises once; the canonical form makes the result the same as
+adding the substituted terms one by one.
 """
 from __future__ import annotations
 
@@ -10,8 +16,8 @@ from fractions import Fraction
 
 from .errors import DenominatorVanishes, ZeroPolynomialError
 from .indets import Indeterminate
-from .poly import (ONE, ZERO, Polynomial, exact_div, poly_gcd, poly_lcm,
-                   poly_text)
+from .poly import (ONE, ZERO, Polynomial, add_terms_into, collect, exact_div,
+                   poly_gcd, poly_lcm, poly_text)
 
 
 class Expression:
@@ -174,17 +180,43 @@ E_ONE = Expression(ONE)
 
 
 def substitute_poly(p: Polynomial, bindings: dict) -> Expression:
-    """Substitute indeterminates by expressions inside a polynomial."""
-    out = E_ZERO
-    for m, c in p.terms.items():
-        term = Expression(Polynomial.const(c))
+    """Substitute indeterminates by expressions inside a polynomial.
+
+    With v -> num_v / den_v and top_v the largest exponent of v in p, every
+    term goes over the one common denominator prod den_v^top_v: its part
+    over the bound indeterminates becomes prod num_v^e * den_v^(top_v - e).
+    The numerators are summed in one term dict and the quotient is
+    normalised once.
+    """
+    vals = {v: _expr(bindings[v]) for v in p.indeterminates() if v in bindings}
+    fractional = [v for v, val in vals.items() if not val.is_polynomial()]
+    groups = collect(p, set(vals))
+    top = dict.fromkeys(vals, 0)
+    for m in groups:
         for v, e in m:
-            if v in bindings:
-                term = term * (_expr(bindings[v]) ** e)
-            else:
-                term = term * Expression(Polynomial.var(v, e))
-        out = out + term
-    return out
+            top[v] = max(top[v], e)
+    powers: dict = {}
+
+    def power(v: Indeterminate, part: str, e: int) -> Polynomial:
+        key = (v, part, e)
+        if key not in powers:
+            powers[key] = getattr(vals[v], part) ** e
+        return powers[key]
+
+    acc: dict = {}
+    for m, term in groups.items():
+        exps = dict(m)
+        for v, e in m:
+            term = term * power(v, "num", e)
+        for v in fractional:
+            k = top[v] - exps.get(v, 0)
+            if k:
+                term = term * power(v, "den", k)
+        add_terms_into(acc, term.terms)
+    den = ONE
+    for v in fractional:
+        den = den * power(v, "den", top[v])
+    return Expression(Polynomial(acc), den)
 
 
 def clear_denominators(exprs: list) -> tuple:

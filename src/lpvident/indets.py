@@ -6,10 +6,14 @@ a signal (input, output, state or scheduling variable at some derivative or
 shift order).  The canonical order sorts reference parameters first, then
 parameters, then signals grouped by role, so that parameter-only monomials
 always rank below signal monomials of equal degree.
+
+An indeterminate computes its sort key, and the hash of that key, once at
+construction: the key is a function of the fields, so equal indeterminates
+have equal keys and equal hashes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 
@@ -39,12 +43,19 @@ class Indeterminate:
     index: int = 0          # 1-based for parameters and reference parameters
     role: Role | None = None
     order: int = 0          # derivative or shift order for signals
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def sort_key(self) -> tuple:
+    def __post_init__(self):
         if self.kind is Kind.SIGNAL:
-            return (_ROLE_TIER[self.role], 0, self.base, self.order)
-        return (int(self.kind), self.index, self.base, 0)
+            key = (_ROLE_TIER[self.role], 0, self.base, self.order)
+        else:
+            key = (int(self.kind), self.index, self.base, 0)
+        object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def with_order(self, order: int) -> "Indeterminate":
         return Indeterminate(self.kind, self.base, self.index, self.role, order)

@@ -2,8 +2,13 @@
 
 A monomial is a tuple of (indeterminate, exponent) pairs with positive
 exponents, sorted ascending by the canonical indeterminate order; the empty
-tuple is 1.  A polynomial maps monomials to nonzero Fraction coefficients.
-All arithmetic is exact; there is no floating point anywhere.
+tuple is 1.  Because both factors are sorted, a product of monomials is a
+merge of the two tuples and never needs a sort.  A polynomial maps
+monomials to nonzero Fraction coefficients.  The public constructor
+enforces that (it wraps every coefficient in Fraction and drops zeros);
+ring arithmetic, whose coefficients are nonzero Fractions by construction,
+builds its results through the private `Polynomial._of`, which trusts its
+dict.  All arithmetic is exact; there is no floating point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -27,20 +32,49 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def add_terms_into(out: dict, terms: dict) -> dict:
+    """Add a term dict into out in place, dropping sums that cancel."""
+    for m, c in terms.items():
+        if m in out:
+            s = out[m] + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        else:
+            out[m] = c
+    return out
+
+
 def _mono(d: dict) -> Monomial:
     """The canonical monomial of an {indeterminate: exponent} dict."""
     return tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Merge of two sorted monomials: the result is sorted with no resort."""
     if not a:
         return b
     if not b:
         return a
-    out = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) + e
-    return _mono(out)
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        ka, kb = va.sort_key, vb.sort_key
+        if ka == kb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -86,6 +120,16 @@ class Polynomial:
                 if c:
                     t[m] = c
         object.__setattr__(self, "terms", t)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """Wrap a term dict whose coefficients are all nonzero Fractions.
+
+        No copy and no check: the caller hands over a dict it owns.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -152,19 +196,12 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(out)
+        return Polynomial._of(add_terms_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_coerce(other))
@@ -175,15 +212,19 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
         out: dict = {}
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
+                if m in out:
+                    s = out[m] + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
                 else:
-                    out.pop(m, None)
-        return Polynomial(out)
+                    out[m] = c1 * c2
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -204,7 +245,7 @@ class Polynomial:
         c = Fraction(c)
         if not c:
             return Polynomial()
-        return Polynomial({m: cc * c for m, cc in self.terms.items()})
+        return Polynomial._of({m: cc * c for m, cc in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -154,7 +154,7 @@ class TrajectoryReport:
 def discrete_trajectory_check(model: LpvModel, iop: IopSet, theta: dict,
                               steps: int = 8, seed: int = 0) -> TrajectoryReport:
     """Evaluate each equation on steps - w windows; residuals must be
-    exactly zero.
+    exactly zero.  steps must exceed w, so at least one window runs.
 
     Each window is its own exact rational trajectory segment of w + 1 steps
     from a fresh random state, inputs and scheduling values.  Every segment
@@ -165,6 +165,8 @@ def discrete_trajectory_check(model: LpvModel, iop: IopSet, theta: dict,
     """
     if not model.discrete:
         raise ValueError("trajectory check applies to discrete models")
+    if steps <= iop.order:
+        raise ValueError(f"{steps} steps leave no window at order {iop.order}")
     rng = random.Random(seed)
     windows = 0
     worst = Fraction(0)

@@ -12,8 +12,12 @@ import pytest
 
 import lpvident
 from conftest import model_path
-from lpvident.cli import main
+from lpvident.cli import AnalysisConfig, _run_verifier, main
+from lpvident.elimination import left_nullspace
 from lpvident.groebner import groebner_basis
+from lpvident.iop import form_iop
+from lpvident.model import parse_model
+from lpvident.stacking import build_stack
 
 
 def _run(capsys, *argv):
@@ -355,3 +359,15 @@ def test_pinned_report_bytes(capsys, monkeypatch, name, argv, code, out_sha,
     assert got == code
     assert hashlib.sha256(out.out.encode()).hexdigest()[:16] == out_sha
     assert hashlib.sha256(out.err.encode()).hexdigest()[:16] == err_sha
+
+
+def test_verifier_runs_a_trajectory_window_at_any_order():
+    # at w = 12 a fixed 12-step trajectory would leave no window
+    m = parse_model("time: discrete\nstates: x1\ninputs: u\noutputs: y\n"
+                    "params: theta1\nA: [theta1]\nB: [1]\nC: [1]")
+    stack = build_stack(m, 12)
+    iop = form_iop(stack, left_nullspace(stack.O), discrete=True)
+    out = _run_verifier(m, stack, iop, AnalysisConfig(),
+                        {"verifier_checks": 0})
+    assert out["trajectory"] == {"ok": True, "windows": 1,
+                                 "max_residual": "0"}

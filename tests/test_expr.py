@@ -169,6 +169,81 @@ def test_substitute_poly_produces_expression():
     assert out2 == E_ONE / (ev(U) * ev(U))
 
 
+def _substitute_term_by_term(p, bindings):
+    """Oracle: one Expression per factor, the terms added one at a time."""
+    out = E_ZERO
+    for m, c in p.terms.items():
+        term = E(P.const(c))
+        for v, e in m:
+            factor = bindings[v] ** e if v in bindings else E(P.var(v, e))
+            term = term * factor
+        out = out + term
+    return out
+
+
+YD = Y.with_order(1)
+
+
+def test_substitute_poly_matches_term_by_term_oracle():
+    rng = random.Random(41)
+    d = P.var(U) - 1
+    dens = [P.const(1), d, d * d, d * (P.var(TH) + 2), P.var(U)]
+    bound = [Y, YD, X]
+
+    def rand_poly(degrees):
+        p = P()
+        for _ in range(rng.randint(1, 3)):
+            term = P.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for v, top in degrees.items():
+                e = rng.randint(0, top)
+                if e:
+                    term = term * P.var(v, e)
+            p = p + term
+        return p
+
+    for _ in range(40):
+        p = rand_poly({TH: 1, U: 1, Y: 2, YD: 2, X: 2})
+        bindings = {v: E(rand_poly({TH: 1, U: 1}), rng.choice(dens))
+                    for v in bound if rng.random() < 0.8}
+        got = substitute_poly(p, bindings)
+        want = _substitute_term_by_term(p, bindings)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("p,bindings,want", [
+    # bindings that share a denominator
+    (P.var(Y) + P.var(YD), {Y: ev(TH) / (ev(U) - 1), YD: E_ONE / (ev(U) - 1)},
+     (ev(TH) + 1) / (ev(U) - 1)),
+    # one denominator divides the other's
+    (P.var(Y) * P.var(YD), {Y: ev(TH) / ev(U), YD: ev(X) / (ev(U) * ev(U))},
+     ev(TH) * ev(X) / (ev(U) ** 3)),
+    (P.var(Y, 2) + P.var(YD), {Y: E_ONE / ev(U), YD: E_ONE / (ev(U) * ev(U))},
+     E(P.const(2)) / (ev(U) * ev(U))),
+    # the final gcd is nontrivial: u divides the numerator u
+    (P.var(U) * P.var(Y, 2), {Y: E_ONE / ev(U)}, E_ONE / ev(U)),
+    (P.var(Y) * P.var(TH) + P.var(YD),
+     {Y: ev(U) / (ev(U) + 1), YD: ev(U) / (ev(U) + 1)},
+     ev(U) * (ev(TH) + 1) / (ev(U) + 1)),
+    # the sum cancels to zero
+    (P.var(U) * P.var(Y) - 1, {Y: E_ONE / ev(U)}, E_ZERO),
+    (P.var(Y, 2) - P.var(YD) * P.var(TH),
+     {Y: ev(TH) / (ev(U) - 1), YD: ev(TH) / ((ev(U) - 1) * (ev(U) - 1))},
+     E_ZERO),
+])
+def test_substitute_poly_worked_cases(p, bindings, want):
+    got = substitute_poly(p, bindings)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == _substitute_term_by_term(p, bindings)
+
+
+def test_substitute_fractional_binding_vanishing_denominator():
+    e = E_ONE / (ev(Y) * ev(U) - 1)
+    with pytest.raises(DenominatorVanishes):
+        e.substitute({Y: E_ONE / ev(U)})
+    with pytest.raises(ValueError):
+        e.substitute({Y: E_ONE / ev(Y)})
+
+
 def test_clear_denominators_common_multiple():
     exprs = [ev(Y) / ev(U), ev(TH) / (ev(U) * ev(U)), ev(X) + 0]
     polys, den = clear_denominators(exprs)

@@ -7,9 +7,12 @@ import pytest
 
 from lpvident.errors import (ExactDivisionError, UnboundIndeterminate,
                              ZeroPolynomialError)
-from lpvident.indets import Role, parameter, ref_parameter, signal
+from lpvident.indets import (Indeterminate, Role, parameter, ref_parameter,
+                             signal)
+from lpvident.poly import _mono as mono_of
 from lpvident.poly import (Polynomial, collect, exact_div, mono_key,
-                           normalize_primitive, poly_gcd, poly_lcm, poly_text)
+                           mono_mul, normalize_primitive, poly_gcd, poly_lcm,
+                           poly_text)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -277,6 +280,52 @@ def test_mono_key_matches_aligned_degrevlex():
         assert (mono_key(a) > mono_key(b)) - (mono_key(a) < mono_key(b)) == want
     assert mono_key(()) < mono_key(((TH1, 1),)) < mono_key(((U, 1),))
     assert mono_key(((TH1, 1), (U, 1))) < mono_key(((U, 2),))  # revlex tie
+
+
+def test_mono_mul_merge_matches_sorted_exponent_sum():
+    # every kind, every signal role at several orders; the second operand
+    # holds separate but equal indeterminate objects
+    variables = [ref_parameter(1), ref_parameter(2), TH1, TH2, TH3]
+    variables += [signal(b, r, k) for b, r in (("rho", Role.SCHEDULING),
+                                               ("u", Role.INPUT),
+                                               ("y", Role.OUTPUT),
+                                               ("x2", Role.STATE))
+                  for k in (0, 1, 3)]
+    rng = random.Random(11)
+
+    def rand_exps():
+        return {v: e for v in variables
+                if (e := rng.choice((0, 0, 0, 0, 1, 2, 3)))}
+
+    def copy(v):
+        return Indeterminate(v.kind, v.base, v.index, v.role, v.order)
+
+    for _ in range(2000):
+        da, db = rand_exps(), rand_exps()
+        a = mono_of(da)
+        b = mono_of({copy(v): e for v, e in db.items()})
+        summed = dict(da)
+        for v, e in db.items():
+            summed[v] = summed.get(v, 0) + e
+        got = mono_mul(a, b)
+        assert got == mono_of(summed)
+        keys = [v.sort_key for v, _ in got]
+        assert keys == sorted(set(keys))
+    assert mono_mul((), ((U, 1),)) == ((U, 1),) == mono_mul(((U, 1),), ())
+
+
+def test_ring_results_keep_nonzero_fraction_coefficients():
+    # the public constructor still wraps coefficients and drops zeros
+    p = P({((U, 1),): 2, ((Y, 1),): 0, (): Fraction(1, 2)})
+    assert p.terms == {((U, 1),): Fraction(2), (): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    rng = random.Random(13)
+    for _ in range(30):
+        a, b = rand_poly(rng, [TH1, U, Y]), rand_poly(rng, [TH1, U, Y])
+        for r in (a + b, a - b, -a, a * b, a.scale(Fraction(-3, 2)),
+                  a + (-a)):
+            assert all(type(c) is Fraction and c
+                       for c in r.terms.values())
 
 
 def test_poly_text_canonical_forms():

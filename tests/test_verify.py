@@ -125,6 +125,17 @@ def test_trajectory_check_flags_corruption(henon):
     assert rep.max_residual != 0
 
 
+def test_trajectory_check_needs_a_window(henon):
+    # steps <= w would evaluate no window and still pass, so it is refused
+    _, iop = _iop(henon, 3)
+    theta = {p: Fraction(v) for p, v in zip(henon.params(), (2, 3, 5, 7))}
+    for steps in (2, 3):
+        with pytest.raises(ValueError):
+            discrete_trajectory_check(henon, iop, theta, steps=steps)
+    rep = discrete_trajectory_check(henon, iop, theta, steps=4)
+    assert rep.ok and rep.windows == 1
+
+
 def test_trajectory_check_continuous_rejected(product_coupling):
     _, iop = _iop(product_coupling)
     theta = {p: Fraction(1) for p in product_coupling.params()}
