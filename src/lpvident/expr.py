@@ -223,11 +223,10 @@ def clear_denominators(exprs: list) -> tuple:
     """Common-denominator pass: returns (list of Polynomial, common den)."""
     common = ONE
     for e in exprs:
-        common = poly_lcm(common, e.den)
-    out = []
-    for e in exprs:
-        out.append(e.num * exact_div(common, e.den))
-    return out, common
+        if e.den != ONE and e.den != common:
+            common = poly_lcm(common, e.den)
+    return [e.num if e.den == common else e.num * exact_div(common, e.den)
+            for e in exprs], common
 
 
 def expr_text(e: Expression, discrete: bool = False) -> str:

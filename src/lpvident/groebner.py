@@ -5,14 +5,20 @@ the largest variable first, to coefficients in an exact field.  Lex order
 on such tuples is Python's own tuple order, so the leading term is
 max(terms).  A coefficient is a Fraction unless its term carries reference
 parameters (symbolic mode); only then is it an Expression, a rational
-function of those parameters.  Pairs are processed smallest lcm first, the
-coprime-leading-term criterion discards product pairs, reduction works in
-place on one term dict, and the result is inter-reduced to the unique
-reduced basis with monic generators.  Pair and degree budgets convert
-runaway computations into BudgetExceeded.
+function of those parameters.  Pairs come from a heap keyed by their lcm,
+computed once when the pair is made, so the smallest lcm is processed
+first.  The coprime-leading-term criterion discards product pairs, and
+Buchberger's chain criterion (Cox, Little and O'Shea, Ideals, Varieties,
+and Algorithms, ch. 2 section 10) skips a pair (i, j) whose lcm some third
+leading term divides when neither (i, k) nor (j, k) is still pending.
+Reduction works in place on one term dict, and the result is
+inter-reduced to the unique reduced basis with monic generators.  Pair and
+degree budgets convert runaway computations into BudgetExceeded; the pair
+budget counts the reductions performed, not the pairs skipped.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -181,18 +187,26 @@ def groebner_basis(generators: list, variables,
         return GroebnerBasis([], variables)
 
     leads = [g.leading()[0] for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs = [(_lcm(leads[i], leads[j]), i, j)
+             for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
+    pending = {(i, j) for _, i, j in pairs}
     reductions = 0
     while pairs:
         if reductions > pair_budget:
             raise BudgetExceeded(
                 f"pair budget {pair_budget} exhausted in Buchberger loop")
         # normal selection: smallest lcm under the order
-        i, j = min(pairs, key=lambda p: (_lcm(leads[p[0]], leads[p[1]]), p))
-        pairs.discard((i, j))
+        lcm, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
         mi, mj = leads[i], leads[j]
-        if _lcm(mi, mj) == tuple(map(add, mi, mj)):
+        if lcm == tuple(map(add, mi, mj)):
             continue  # coprime leading terms: S-polynomial reduces to zero
+        if any(k != i and k != j and _divides(mk, lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, mk in enumerate(leads)):
+            continue  # chain criterion: (i, k) and (k, j) already cover it
         s = s_polynomial(basis[i], basis[j])
         reductions += 1
         r = reduce_gpoly(s, basis)
@@ -204,7 +218,9 @@ def groebner_basis(generators: list, variables,
         k = len(basis)
         basis.append(r.monic())
         leads.append(r.leading()[0])
-        pairs |= {(t, k) for t in range(k)}
+        for t in range(k):
+            heapq.heappush(pairs, (_lcm(leads[t], leads[k]), t, k))
+            pending.add((t, k))
 
     return GroebnerBasis(_inter_reduce(basis, leads), variables, reductions)
 

@@ -15,17 +15,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorVanishes, LpvIdentError
-from .expr import E_ZERO, Expression
+from .expr import Expression, clear_denominators
 from .indets import Kind, Role
 from .iop import IopSet
 from .model import LpvModel
+from .poly import Polynomial, add_terms_into
 from .stacking import StackedSystem
 
 
 def _affine(M, N, xs: list, us: list) -> list:
-    """Rows of M xs + N us over expressions."""
-    return [sum((e * v for e, v in zip(m_row + n_row, xs + us)), E_ZERO)
-            for m_row, n_row in zip(M, N)]
+    """Rows of M xs + N us over expressions, each summed over one common
+    denominator and normalised once."""
+    rows = []
+    for m_row, n_row in zip(M, N):
+        products = [e * v for e, v in zip(m_row + n_row, xs + us) if e and v]
+        nums, den = clear_denominators(products)
+        acc: dict = {}
+        for p in nums:
+            add_terms_into(acc, p.terms)
+        rows.append(Expression(Polynomial(acc), den))
+    return rows
 
 
 def _output_free_matrices(model: LpvModel) -> dict:

@@ -1,17 +1,21 @@
 """Buchberger engine over the reference-parameter coefficient field."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import is_groebner
+from conftest import is_groebner, model_path
 from lpvident.classify import evaluate_summary
+from lpvident.cli import main
 from lpvident.elimination import left_nullspace
 from lpvident.errors import BudgetExceeded
 from lpvident.expr import E_ONE, Expression
-from lpvident.groebner import (GroebnerBasis, gpoly_from_polynomial,
-                               groebner_basis, gpoly_text, reduce_gpoly,
-                               s_polynomial, univariate_members)
+from lpvident.groebner import (GroebnerBasis, _inter_reduce,
+                               gpoly_from_polynomial, groebner_basis,
+                               gpoly_text, reduce_gpoly, s_polynomial,
+                               univariate_members)
 from lpvident.indets import parameter
 from lpvident.iop import extract_summary, form_iop
 from lpvident.model import parse_model
@@ -21,7 +25,8 @@ from lpvident.stacking import build_stack
 
 X = parameter("x", 1)
 Y = parameter("y", 2)
-PX, PY = Polynomial.var(X), Polynomial.var(Y)
+Z = parameter("z", 3)
+PX, PY, PZ = Polynomial.var(X), Polynomial.var(Y), Polynomial.var(Z)
 XY = [X, Y]
 
 
@@ -92,9 +97,10 @@ def test_symbolic_basis_burgers(burgers):
     assert gb.texts() == ["theta1 - a", "theta2 - b"]
 
 
-def _numeric_chain3_basis():
+def _numeric_chain3_generators():
     # discrete Chain(3), q = 5, at w = 4: a numeric basis with enough
-    # pairs (182 reductions) to exercise the pair loop
+    # pairs (182 reductions without the chain criterion, 19 with it) to
+    # exercise the pair loop
     model = parse_model(
         "time: discrete\nstates: x1, x2, x3\ninputs: u\noutputs: y\n"
         "params: theta1, theta2, theta3, theta4, theta5\n"
@@ -102,14 +108,18 @@ def _numeric_chain3_basis():
         "B: [1; 0; 0]\nC: [1, 0, 0]\n")
     summ, params = _summary_and_params(model, 4)
     ref = {p: Fraction(v) for p, v in zip(params, (2, 3, 5, 7, 11))}
-    return groebner_basis(evaluate_summary(summ, params, ref), params)
+    return evaluate_summary(summ, params, ref), params
+
+
+def _numeric_chain3_basis():
+    return groebner_basis(*_numeric_chain3_generators())
 
 
 # S-polynomial reductions of each symbolic golden basis: the pair loop's
 # selection and criteria fix these counts, so a change to either shows here
-PINNED_PAIR_REDUCTIONS = {"product_coupling": 3, "shared_gain": 4,
-                          "air_handling_unit": 8, "henon": 2,
-                          "burgers_discretized": 2}
+PINNED_PAIR_REDUCTIONS = {"product_coupling": 2, "shared_gain": 2,
+                          "air_handling_unit": 3, "henon": 2,
+                          "burgers_discretized": 1}
 
 
 def test_pair_reductions_pinned(goldens):
@@ -119,7 +129,7 @@ def test_pair_reductions_pinned(goldens):
     gb = _numeric_chain3_basis()
     assert gb.texts() == ["theta1 - 2", "theta2 - 3", "theta3 - 5",
                           "theta4 - 7", "theta5 - 11"]
-    assert gb.pair_reductions == 182
+    assert gb.pair_reductions == 19
 
 
 def test_coefficient_types(goldens):
@@ -209,3 +219,88 @@ def test_deterministic_basis(henon):
     a, _ = _symbolic_basis(henon)
     b, _ = _symbolic_basis(henon)
     assert a.texts() == b.texts()
+
+
+def _all_pairs_basis(generators, variables):
+    """Reference pair loop: every pending pair is rescanned for the smallest
+    lcm, and only the coprime-leading-term criterion skips a pair.
+
+    Returns the reduced basis texts and the number of S-polynomial
+    reductions.
+    """
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    basis = [g.monic() for g in (gpoly_from_polynomial(p, variables)
+                                 for p in generators) if not g.is_zero()]
+    leads = [g.leading()[0] for g in basis]
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    reductions = 0
+    while pairs:
+        i, j = min(pairs, key=lambda p: (lcm(leads[p[0]], leads[p[1]]), p))
+        pairs.discard((i, j))
+        mi, mj = leads[i], leads[j]
+        if lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
+            continue
+        reductions += 1
+        r = reduce_gpoly(s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            k = len(basis)
+            basis.append(r.monic())
+            leads.append(r.leading()[0])
+            pairs |= {(t, k) for t in range(k)}
+    return [gpoly_text(g) for g in _inter_reduce(basis, leads)], reductions
+
+
+def _random_ideal(rng):
+    # two to three sparse generators of degree <= 2 in x, y, z
+    monos = [PX, PY, PZ, PX * PY, PX * PX, PY * PZ, PY * PY, PX * PZ,
+             Polynomial.const(1)]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = Polynomial()
+        for m in rng.sample(monos, rng.randint(2, 3)):
+            g = g + m.scale(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                     rng.randint(1, 3)))
+        gens.append(g)
+    return gens
+
+
+def _oracle_inputs(goldens):
+    rng = random.Random(20261019)
+    for n in range(30):
+        yield f"random-{n}", _random_ideal(rng), [X, Y, Z]
+    for name, model in goldens.items():
+        summ, params = _summary_and_params(model)
+        yield name, evaluate_summary(summ, params), params
+    yield "numeric chain-3", *_numeric_chain3_generators()
+
+
+def test_pair_heap_matches_all_pairs_oracle(goldens):
+    # the heap pops pairs in the oracle's order, and the chain criterion only
+    # skips pairs; so the reduced basis is the same and the count never rises
+    fewer = 0
+    for name, gens, variables in _oracle_inputs(goldens):
+        want, oracle_reductions = _all_pairs_basis(gens, variables)
+        gb = groebner_basis(gens, variables)
+        assert gb.texts() == want, name
+        assert gb.pair_reductions <= oracle_reductions, name
+        fewer += gb.pair_reductions < oracle_reductions
+    assert fewer
+
+
+def test_pair_budget_counts_performed_reductions(capsys):
+    # pairs the chain criterion skips are not counted: air_handling_unit's
+    # bases fit in a budget of 3 that all-pairs reduction (8) would exhaust
+    def run(*argv):
+        code = main(["analyze", str(model_path("air_handling_unit")),
+                     "--format", "json", *argv])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, budgeted = run("--pair-budget", "3")
+    assert code == 0
+    _, default = run()
+    assert budgeted["config"]["pair_budget"] == 3
+    budgeted.pop("config")
+    default.pop("config")
+    assert budgeted == default
