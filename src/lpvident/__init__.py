@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, DenominatorVanishes,
                      NotAffineInParameters, OrderTooLargeForBudget,
                      StateInMatrixEntry, StateNotEliminated,
                      UnboundIndeterminate, UnknownSymbol)
-from .expr import Expression, clear_denominators, expr_text
+from .expr import Expression, clear_denominators, dot, expr_text
 from .groebner import (GPoly, GroebnerBasis, groebner_basis, reduce_gpoly,
                        s_polynomial, univariate_members)
 from .indets import Indeterminate, Kind, Role, parameter, ref_parameter, signal
@@ -45,7 +45,7 @@ __all__ = [
     "StateInMatrixEntry", "StateNotEliminated", "TrajectoryReport",
     "UNDETERMINED", "UnboundIndeterminate", "UnknownSymbol", "Verdict",
     "backsubstitute_check", "binom_schedule", "build_stack", "classify",
-    "clear_denominators", "collect", "discrete_trajectory_check",
+    "clear_denominators", "collect", "discrete_trajectory_check", "dot",
     "draw_theta_ref", "evaluate_summary", "exact_div", "expr_text",
     "extract_summary", "form_iop", "groebner_basis", "jacobian_local_test",
     "left_nullspace", "normalize_primitive", "output_closure",

@@ -4,10 +4,12 @@ Forward elimination is fraction-free (Bareiss): every intermediate entry is
 a polynomial, divisions are exact by the previous pivot, and pivot zero
 tests are canonical-form tests, never numeric.  Rows with rational-function
 entries are first scaled polynomial by their denominator product; the scale
-is restored on the computed null-space vectors.  Returned basis rows are
-cleared of denominators, divided by their full polynomial content (gcd
-across entries) and sign-normalized, which pins a one-dimensional
-null-space row uniquely up to nothing at all.
+is restored on the computed null-space vectors.  Back-substitution stays
+polynomial too: the free entry is set to the last pivot d, the rank-r minor
+of the pivot columns, so by Cramer's rule every other entry is a minor and
+each division by a pivot is exact.  Returned basis rows are divided by
+their full polynomial content (gcd across entries) and sign-normalized,
+which pins a one-dimensional null-space row uniquely up to nothing at all.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 from .expr import Expression, clear_denominators
-from .poly import (ONE, ZERO, Polynomial, exact_div, poly_gcd, poly_text)
+from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
+                   poly_text)
 
 
 @dataclass
@@ -111,43 +114,42 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(nrows) if c not in pivot_cols]
 
+    d = T[pivots[-1][0]][pivots[-1][1]] if pivots else ONE
     basis = []
     for f in free_cols:
-        # back-substitute in the echelon form with exact field arithmetic
-        omega = [Expression(Polynomial()) for _ in range(nrows)]
-        omega[f] = Expression(Polynomial.const(1))
+        omega = [ZERO] * nrows
+        omega[f] = d
         for (r, c) in reversed(pivots):
-            acc = Expression(Polynomial())
+            acc: dict = {}
             for j in range(c + 1, nrows):
                 if not T[r][j].is_zero() and not omega[j].is_zero():
-                    acc = acc + Expression(T[r][j]) * omega[j]
-            omega[c] = -acc / Expression(T[r][c])
+                    add_terms_into(acc, (T[r][j] * omega[j]).terms)
+            omega[c] = exact_div(-Polynomial(acc), T[r][c])
         # restore the row scaling of the original matrix
-        omega = [w * Expression(row_scales[i]) for i, w in enumerate(omega)]
-        basis.append(_normalize_row(omega))
+        basis.append(_normalize_row(
+            [w * s for w, s in zip(omega, row_scales)]))
     return NullspaceBasis(basis, rk, len(basis))
 
 
-def _normalize_row(omega: list) -> list:
-    cleared, _ = clear_denominators(omega)
+def _normalize_row(row: list) -> list:
     content = ZERO
-    for p in cleared:
+    for p in row:
         content = poly_gcd(content, p)
         if content == ONE:
             break
     if not content.is_zero() and content != ONE:
-        cleared = [exact_div(p, content) if not p.is_zero() else p for p in cleared]
+        row = [exact_div(p, content) if not p.is_zero() else p for p in row]
     # joint rational content: make the row integer, primitive, and give the
     # first nonzero entry a positive leading coefficient
     nums, dens = 0, 1
-    for p in cleared:
+    for p in row:
         for coef in p.terms.values():
             nums = _igcd(nums, coef.numerator)
             dens = dens * coef.denominator // _igcd(dens, coef.denominator)
     if nums:
         scale = Fraction(dens, nums)
-        lead = next(p for p in cleared if not p.is_zero())
+        lead = next(p for p in row if not p.is_zero())
         if lead.content() < 0:
             scale = -scale
-        cleared = [p.scale(scale) for p in cleared]
-    return [Expression(p) for p in cleared]
+        row = [p.scale(scale) for p in row]
+    return [Expression(p) for p in row]

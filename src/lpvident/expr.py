@@ -8,7 +8,8 @@ Substitution into a polynomial brings every term over one common
 denominator (the product of each binding's denominator raised to the
 largest exponent of its indeterminate), sums the numerators in one term
 dict and normalises once; the canonical form makes the result the same as
-adding the substituted terms one by one.
+adding the substituted terms one by one.  `dot` sums products of
+expressions the same way.
 """
 from __future__ import annotations
 
@@ -227,6 +228,22 @@ def clear_denominators(exprs: list) -> tuple:
             common = poly_lcm(common, e.den)
     return [e.num if e.den == common else e.num * exact_div(common, e.den)
             for e in exprs], common
+
+
+def dot(coeffs, values) -> Expression:
+    """Sum of the products coeffs[i] * values[i].
+
+    The nonzero products go over one common denominator, their numerators
+    are summed in one term dict and the quotient is normalised once; the
+    canonical form makes the result the same as adding the products one by
+    one.
+    """
+    products = [a * b for a, b in zip(coeffs, values) if a and b]
+    nums, den = clear_denominators(products)
+    acc: dict = {}
+    for p in nums:
+        add_terms_into(acc, p.terms)
+    return Expression(Polynomial(acc), den)
 
 
 def expr_text(e: Expression, discrete: bool = False) -> str:

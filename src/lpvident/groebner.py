@@ -174,8 +174,8 @@ def groebner_basis(generators: list, variables,
 
     The variables are listed largest first.  Accepts Polynomial (mixed
     parameter/reference indeterminates) or GPoly inputs.  Raises
-    BudgetExceeded when the pair queue or any intermediate degree outgrows
-    the budgets.
+    BudgetExceeded when a pair reduction beyond the first pair_budget is
+    about to run, or when an intermediate degree outgrows degree_budget.
     """
     variables = tuple(variables)
     basis = []
@@ -193,9 +193,6 @@ def groebner_basis(generators: list, variables,
     pending = {(i, j) for _, i, j in pairs}
     reductions = 0
     while pairs:
-        if reductions > pair_budget:
-            raise BudgetExceeded(
-                f"pair budget {pair_budget} exhausted in Buchberger loop")
         # normal selection: smallest lcm under the order
         lcm, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
@@ -207,6 +204,9 @@ def groebner_basis(generators: list, variables,
                and (min(j, k), max(j, k)) not in pending
                for k, mk in enumerate(leads)):
             continue  # chain criterion: (i, k) and (k, j) already cover it
+        if reductions >= pair_budget:
+            raise BudgetExceeded(
+                f"pair budget {pair_budget} exhausted in Buchberger loop")
         s = s_polynomial(basis[i], basis[j])
         reductions += 1
         r = reduce_gpoly(s, basis)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (EmptyNullspace, NoParameterDependence, StateNotEliminated)
 from .indets import Kind, Role
-from .expr import Expression
+from .expr import Expression, dot
 from .poly import Monomial, Polynomial, mono_key, normalize_primitive
 
 from .stacking import StackedSystem
@@ -62,10 +62,7 @@ def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
     normalizers = []
     state_vars = {x.with_order(0) for x in stack.X}
     for om in nullspace.rows:
-        acc = Expression(Polynomial())
-        for w, k in zip(om, known):
-            if not w.is_zero() and not k.is_zero():
-                acc = acc + w * k
+        acc = dot(om, known)
         if acc.is_zero():
             continue
         psi = acc.num  # eliminate scale: clear the denominator entirely

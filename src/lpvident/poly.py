@@ -414,19 +414,7 @@ def _main_var(p: Polynomial) -> Indeterminate:
 
 def _as_univariate(p: Polynomial, v: Indeterminate) -> dict:
     """View p as {degree in v: Polynomial free of v}."""
-    out: dict = {}
-    for m, c in p.terms.items():
-        deg = 0
-        rest = []
-        for w, e in m:
-            if w == v:
-                deg = e
-            else:
-                rest.append((w, e))
-        bucket = out.setdefault(deg, {})
-        key = tuple(rest)
-        bucket[key] = bucket.get(key, Fraction(0)) + c
-    return {d: Polynomial(t) for d, t in out.items()}
+    return {(m[0][1] if m else 0): c for m, c in collect(p, {v}).items()}
 
 
 def _from_univariate(coeffs: dict, v: Indeterminate) -> Polynomial:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderTooLargeForBudget
-from .expr import E_ZERO, E_ONE, Expression
+from .expr import E_ZERO, E_ONE, Expression, dot
 from .model import LpvModel
 from .poly import Polynomial
 
@@ -51,15 +51,9 @@ class StackedSystem:
 
     def known_side(self) -> list:
         """Y0 + G U as one Expression per row."""
-        out = []
-        for i in range(self.rows):
-            acc = self.Y0[i]
-            for j, u in enumerate(self.U):
-                g = self.G[i][j]
-                if not g.is_zero():
-                    acc = acc + g * Expression.var(u)
-            out.append(acc)
-        return out
+        us = [Expression.var(u) for u in self.U]
+        return [dot([y, *g_row], [E_ONE, *us])
+                for y, g_row in zip(self.Y0, self.G)]
 
 
 def _mat_map(mat, f):

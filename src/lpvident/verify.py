@@ -15,26 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorVanishes, LpvIdentError
-from .expr import Expression, clear_denominators
+from .expr import Expression, dot
 from .indets import Kind, Role
 from .iop import IopSet
 from .model import LpvModel
-from .poly import Polynomial, add_terms_into
 from .stacking import StackedSystem
 
 
 def _affine(M, N, xs: list, us: list) -> list:
-    """Rows of M xs + N us over expressions, each summed over one common
-    denominator and normalised once."""
-    rows = []
-    for m_row, n_row in zip(M, N):
-        products = [e * v for e, v in zip(m_row + n_row, xs + us) if e and v]
-        nums, den = clear_denominators(products)
-        acc: dict = {}
-        for p in nums:
-            add_terms_into(acc, p.terms)
-        rows.append(Expression(Polynomial(acc), den))
-    return rows
+    """Rows of M xs + N us over expressions."""
+    return [dot(m_row + n_row, xs + us) for m_row, n_row in zip(M, N)]
 
 
 def _output_free_matrices(model: LpvModel) -> dict:
@@ -141,16 +131,9 @@ def stack_substitution_check(model: LpvModel, stack: StackedSystem) -> bool:
     or differentiated at most w - 1 times, so the order-w closure covers it.
     """
     closure = output_closure(model, stack.order)
-    known = stack.known_side()
-    for r in range(stack.rows):
-        acc = known[r]
-        for c, xvar in enumerate(stack.X):
-            o = stack.O[r][c]
-            if not o.is_zero():
-                acc = acc - o * Expression.var(xvar)
-        if not _subst(acc, closure).is_zero():
-            return False
-    return True
+    xs = [Expression.var(x) for x in stack.X]
+    return all(_subst(known - dot(o_row, xs), closure).is_zero()
+               for known, o_row in zip(stack.known_side(), stack.O))
 
 
 @dataclass

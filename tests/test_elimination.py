@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 from conftest import random_models
-from lpvident.elimination import left_nullspace, rank_rational
-from lpvident.expr import E_ONE, E_ZERO, expr_text
+from lpvident.elimination import (_bareiss_echelon, _normalize_row,
+                                  _to_poly_rows, left_nullspace, rank_rational)
+from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
+                           expr_text)
+from lpvident.indets import Role, parameter, signal
 from lpvident.model import parse_model
 from lpvident.stacking import build_stack
 
@@ -118,3 +121,58 @@ def test_deterministic_output(product_coupling):
     b = left_nullspace(s.O)
     assert [[expr_text(e) for e in row] for row in a.rows] == \
            [[expr_text(e) for e in row] for row in b.rows]
+
+
+def _field_nullspace_rows(matrix):
+    """Oracle: back-substitution in the rational-function field, one
+    Expression per operation, from omega[f] = 1."""
+    nrows = len(matrix)
+    rows, scales = _to_poly_rows(matrix)
+    T = [[rows[i][j] for i in range(nrows)] for j in range(len(matrix[0]))]
+    pivots, _ = _bareiss_echelon(T)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(nrows):
+        if f in pivot_cols:
+            continue
+        omega = [E_ZERO] * nrows
+        omega[f] = E_ONE
+        for r, c in reversed(pivots):
+            acc = E_ZERO
+            for j in range(c + 1, nrows):
+                acc = acc + Expression(T[r][j]) * omega[j]
+            omega[c] = -acc / Expression(T[r][c])
+        omega = [w * Expression(s) for w, s in zip(omega, scales)]
+        cleared, _ = clear_denominators(omega)
+        basis.append(_normalize_row(cleared))
+    return basis
+
+
+def _hand_built_matrix():
+    # rational entries, rank 3 with five rows: a null space of dimension 2
+    th, u = Expression.var(parameter("theta", 1)), Expression.var(
+        signal("u", Role.INPUT))
+    a, b = th / (u - 1), E_ONE / u
+    return [[a, E_ONE, b],
+            [E_ONE, u, th],
+            [a + 1, u + 1, b + th],
+            [th * u, E_ONE / (th + 1), E_ZERO],
+            [E_ZERO, E_ZERO, E_ZERO]]
+
+
+def test_backsubstitution_matches_field_oracle(goldens):
+    matrices = [build_stack(model, w).O
+                for model in goldens.values() for w in (1, 2, 3)]
+    matrices += [build_stack(model, 1, size_cap=256).O
+                 for model in random_models(50)]
+    matrices.append(_hand_built_matrix())
+    for M in matrices:
+        assert left_nullspace(M).rows == _field_nullspace_rows(M)
+
+
+def test_hand_built_nullspace_has_dimension_two():
+    M = _hand_built_matrix()
+    basis = left_nullspace(M)
+    assert (basis.rank, basis.dimension) == (3, 2)
+    for omega in basis.rows:
+        assert _annihilates(omega, M)

@@ -7,7 +7,7 @@ import pytest
 
 from lpvident.errors import DenominatorVanishes, ZeroPolynomialError
 from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
-                           expr_text, substitute_poly)
+                           dot, expr_text, substitute_poly)
 from lpvident.indets import Role, parameter, signal
 from lpvident.poly import Polynomial, exact_div
 
@@ -253,6 +253,61 @@ def test_clear_denominators_common_multiple():
         assert E(p, den) == e
     # den is the least common multiple u^2 up to a unit
     assert exact_div(den, P.var(U, 2)).is_constant()
+
+
+def _dot_incremental(coeffs, values):
+    """Oracle: the products added one at a time."""
+    out = E_ZERO
+    for a, b in zip(coeffs, values):
+        out = out + a * b
+    return out
+
+
+def test_dot_matches_incremental_oracle():
+    rng = random.Random(17)
+    d = P.var(U) - 1
+    # shared denominators, and denominators that divide one another
+    dens = [P.const(1), d, d * d, d * (P.var(TH) + 2), P.var(U)]
+
+    def rand_entry(indets):
+        if rng.random() < 0.2:
+            return E_ZERO
+        p = P()
+        for _ in range(rng.randint(1, 3)):
+            term = P.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for v in indets:
+                if rng.random() < 0.5:
+                    term = term * P.var(v)
+            p = p + term
+        return E(p, rng.choice(dens))
+
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        coeffs = [rand_entry([TH, U]) for _ in range(k)]
+        values = [rand_entry([Y, X]) for _ in range(k)]
+        got = dot(coeffs, values)
+        want = _dot_incremental(coeffs, values)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("coeffs,values,want", [
+    # shared denominator
+    ([ev(TH) / (ev(U) - 1), E_ONE / (ev(U) - 1)], [ev(Y), ev(X)],
+     (ev(TH) * ev(Y) + ev(X)) / (ev(U) - 1)),
+    # one denominator divides the other
+    ([E_ONE / ev(U), E_ONE / (ev(U) * ev(U))], [ev(Y), ev(X)],
+     (ev(U) * ev(Y) + ev(X)) / (ev(U) * ev(U))),
+    # the products cancel to zero
+    ([ev(TH) / (ev(U) - 1), -ev(TH)], [ev(Y), ev(Y) / (ev(U) - 1)], E_ZERO),
+    ([E_ONE, E_ONE, -E_ONE], [ev(Y), ev(X), ev(Y) + ev(X)], E_ZERO),
+    # all-zero and empty input
+    ([E_ZERO, ev(TH)], [ev(Y), E_ZERO], E_ZERO),
+    ([], [], E_ZERO),
+])
+def test_dot_worked_cases(coeffs, values, want):
+    got = dot(coeffs, values)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == _dot_incremental(coeffs, values)
 
 
 def test_expr_text():

@@ -200,6 +200,28 @@ def test_pair_budget_exceeded():
     assert "pair budget" in str(info.value)
 
 
+def test_pair_budget_bounds_performed_reductions(monkeypatch):
+    # the numeric Chain(3) basis performs 19 reductions: a budget of 19
+    # suffices, and a budget of 18 stops before the 19th S-polynomial
+    import lpvident.groebner as groebner
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    gens, params = _numeric_chain3_generators()
+    gb = groebner_basis(gens, params, pair_budget=19)
+    assert gb.pair_reductions == 19
+    assert len(calls) == 19
+    calls.clear()
+    with pytest.raises(BudgetExceeded) as info:
+        groebner_basis(gens, params, pair_budget=18)
+    assert "pair budget 18" in str(info.value)
+    assert len(calls) == 18
+
+
 def test_degree_budget_exceeded():
     with pytest.raises(BudgetExceeded) as info:
         groebner_basis([PX * PY - 1, PY * PY - 1], XY,
