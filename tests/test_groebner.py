@@ -203,14 +203,13 @@ def test_pair_budget_exceeded():
 def test_pair_budget_bounds_performed_reductions(monkeypatch):
     # the numeric Chain(3) basis performs 19 reductions: a budget of 19
     # suffices, and a budget of 18 stops before the 19th S-polynomial
-    import lpvident.groebner as groebner
     calls = []
 
     def counting(f, g):
         calls.append(1)
         return s_polynomial(f, g)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    monkeypatch.setattr("lpvident.groebner.s_polynomial", counting)
     gens, params = _numeric_chain3_generators()
     gb = groebner_basis(gens, params, pair_budget=19)
     assert gb.pair_reductions == 19
