@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import verify
 from .classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
                        ParamStatus, Verdict, classify, draw_theta_ref,
                        jacobian_local_test)
@@ -166,9 +167,12 @@ def _run_engines(iop, summary, model, config: AnalysisConfig, counters: dict):
 
 
 def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
+    # one order-w closure serves both symbolic checks; it is looked up on
+    # the module so that a wrapper set on verify.output_closure sees it
+    closure = verify.output_closure(model, stack.order)
     out = {
-        "backsubstitution": backsubstitute_check(model, iop).ok,
-        "stack_substitution": stack_substitution_check(model, stack),
+        "backsubstitution": backsubstitute_check(closure, iop).ok,
+        "stack_substitution": stack_substitution_check(closure, stack),
         "trajectory": None,
     }
     counters["verifier_checks"] += 2

@@ -8,7 +8,12 @@ monomials to nonzero Fraction coefficients.  The public constructor
 enforces that (it wraps every coefficient in Fraction and drops zeros);
 ring arithmetic, whose coefficients are nonzero Fractions by construction,
 builds its results through the private `Polynomial._of`, which trusts its
-dict.  All arithmetic is exact; there is no floating point anywhere.
+dict.  A product of two multi-term polynomials writes each operand as
+integer numerators over one common denominator (the lcm of its coefficient
+denominators), sums the products as ints and makes one Fraction per nonzero
+sum, so the invariant holds there too; a single-term operand maps the other
+operand's terms one to one.  All arithmetic is exact; there is no floating
+point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -17,7 +22,7 @@ sign normalization and elimination pivot tie-breaks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .errors import (ExactDivisionError, UnboundIndeterminate,
                      ZeroPolynomialError)
@@ -211,20 +216,33 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
-        out: dict = {}
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
+        left, right = self.terms, other.terms
+        if not left or not right:
+            return ZERO
+        if len(right) == 1:
+            left, right = right, left
+        if len(left) == 1:
+            # monomial multiplication is injective, so no two terms merge
+            ((m1, c1),) = left.items()
+            return Polynomial._of({mono_mul(m1, m2): c1 * c2
+                                   for m2, c2 in right.items()})
+        # integer numerators over one common denominator per operand
+        da, na = _over_common_denominator(left)
+        db, nb = _over_common_denominator(right)
+        acc: dict = {}
+        for m1, a in na:
+            for m2, b in nb:
                 m = mono_mul(m1, m2)
-                if m in out:
-                    s = out[m] + c1 * c2
+                if m in acc:
+                    s = acc[m] + a * b
                     if s:
-                        out[m] = s
+                        acc[m] = s
                     else:
-                        del out[m]
+                        del acc[m]
                 else:
-                    out[m] = c1 * c2
-        return Polynomial._of(out)
+                    acc[m] = a * b
+        d = da * db
+        return Polynomial._of({m: Fraction(c, d) for m, c in acc.items()})
 
     __rmul__ = __mul__
 
@@ -348,6 +366,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return poly_text(self)
+
+
+def _over_common_denominator(terms: dict) -> tuple:
+    """(d, [(monomial, integer numerator)]) with terms = numerators / d,
+    d the lcm of the coefficient denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator))
+               for m, c in terms.items()]
 
 
 def _coerce(x) -> Polynomial:

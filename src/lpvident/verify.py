@@ -4,7 +4,9 @@ Back-substitution rebuilds each output derivative or shift directly from
 the state equations and substitutes it into the I-O-P equations; the result
 must cancel to exactly zero, which certifies state elimination without
 reusing any null-space computation.  The stack check substitutes the same
-closure into every row of the stacked system.  For discrete models a
+closure into every row of the stacked system: one order-w closure, built
+once per verifier run, serves both symbolic checks, since the order-w
+closure holds every y^(j) and x^(j) with j <= w.  For discrete models a
 second, purely numeric oracle evaluates each equation on independent
 (w+1)-step exact rational trajectory segments from fresh random states.
 """
@@ -112,25 +114,23 @@ class BacksubReport:
     residuals: list   # Expression per equation
 
 
-def backsubstitute_check(model: LpvModel, iop: IopSet) -> BacksubReport:
-    """Substitute model-implied output expressions into each equation."""
-    max_order = 0
-    for psi in iop.equations:
-        for v in psi.indeterminates():
-            if v.kind is Kind.SIGNAL and v.role is Role.OUTPUT:
-                max_order = max(max_order, v.order)
-    closure = output_closure(model, max_order)
+def backsubstitute_check(closure: dict, iop: IopSet) -> BacksubReport:
+    """Substitute model-implied output expressions into each equation.
+
+    closure is `output_closure(model, iop.order)`: the equations hold
+    outputs of order at most w, and the order-w closure maps every one.
+    """
     residuals = [_subst(Expression(psi), closure) for psi in iop.equations]
     return BacksubReport(all(r.is_zero() for r in residuals), residuals)
 
 
-def stack_substitution_check(model: LpvModel, stack: StackedSystem) -> bool:
+def stack_substitution_check(closure: dict, stack: StackedSystem) -> bool:
     """Row-wise: Y0 + G U - O X vanishes under the model dynamics.
 
     The stack at order w holds y^(0..w) and x^(0..w), with A and B shifted
-    or differentiated at most w - 1 times, so the order-w closure covers it.
+    or differentiated at most w - 1 times, so closure is
+    `output_closure(model, stack.order)`.
     """
-    closure = output_closure(model, stack.order)
     xs = [Expression.var(x) for x in stack.X]
     return all(_subst(known - dot(o_row, xs), closure).is_zero()
                for known, o_row in zip(stack.known_side(), stack.O))

@@ -361,6 +361,36 @@ def test_pinned_report_bytes(capsys, monkeypatch, name, argv, code, out_sha,
     assert hashlib.sha256(out.err.encode()).hexdigest()[:16] == err_sha
 
 
+@pytest.mark.parametrize("name,w", [("henon", 4), ("product_coupling", 5)])
+def test_verifier_builds_one_closure(monkeypatch, name, w):
+    verify = importlib.import_module("lpvident.verify")
+    real, calls = verify.output_closure, []
+
+    def counting(model, max_order):
+        calls.append(max_order)
+        return real(model, max_order)
+
+    monkeypatch.setattr(verify, "output_closure", counting)
+    m = parse_model(model_path(name).read_text(encoding="utf-8"))
+    stack = build_stack(m, w)
+    iop = form_iop(stack, left_nullspace(stack.O), discrete=m.discrete)
+    out = _run_verifier(m, stack, iop, AnalysisConfig(),
+                        {"verifier_checks": 0})
+    assert calls == [stack.order] == [w]
+    assert out["backsubstitution"] and out["stack_substitution"]
+
+
+def test_verify_rejects_output_inside_c(capsys, tmp_path):
+    path = tmp_path / "y_in_c.lpv"
+    path.write_text("time: discrete\nstates: x1\noutputs: y\n"
+                    "params: theta1\nA: [theta1]\nC: [y]\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", path)
+    assert code == 3
+    assert out == ""
+    assert "outputs inside C or D entries are not supported by the verifier" \
+        in err
+
+
 def test_verifier_runs_a_trajectory_window_at_any_order():
     # at w = 12 a fixed 12-step trajectory would leave no window
     m = parse_model("time: discrete\nstates: x1\ninputs: u\noutputs: y\n"

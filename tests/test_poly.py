@@ -328,6 +328,59 @@ def test_ring_results_keep_nonzero_fraction_coefficients():
                        for c in r.terms.values())
 
 
+def _oracle_product(a, b):
+    """The plain double loop over Fraction coefficients."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = mono_mul(m1, m2)
+            if m in out:
+                s = out[m] + c1 * c2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            else:
+                out[m] = c1 * c2
+    return out
+
+
+def test_product_matches_fraction_double_loop():
+    rng = random.Random(17)
+    indets = [TH1, TH2, U, Y, X2]
+
+    def rand_terms(integer):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            m = mono_of({v: e for v in indets if (e := rng.randint(0, 2))})
+            num = rng.randint(-9, 9)
+            terms[m] = num if integer else Fraction(num, rng.randint(1, 12))
+        return P(terms)
+
+    a, b = pv(TH1) + pv(U), pv(TH1) - pv(U)
+    half = P({((U, 1),): Fraction(1, 2), ((Y, 1),): Fraction(-2, 3)})
+    cases = [(P(), a), (a, P()), (P(), P()),
+             (P.const(Fraction(-3, 4)), a), (a, pv(Y, 2)),
+             (pv(X2).scale(Fraction(5, 6)), half), (half, P.const(7)),
+             (a, b), (b, a), (half, half), (half, -half)]
+    for _ in range(300):
+        cases.append((rand_terms(rng.random() < 0.5),
+                      rand_terms(rng.random() < 0.5)))
+    for x, y in cases:
+        got = (x * y).terms
+        want = _oracle_product(x, y)
+        assert got == want
+        assert list(got) == list(want)   # same term order as well
+        assert all(type(c) is Fraction and c != 0 for c in got.values())
+    # products that cancel: (a+b)(a-b) against a^2 - b^2
+    diff = a * b - (pv(TH1, 2) - pv(U, 2))
+    assert diff.is_zero() and diff.terms == {}
+    assert (a * b).terms == {((TH1, 2),): 1, ((U, 2),): -1}
+    third = a.scale(Fraction(1, 3))
+    assert (third * b.scale(Fraction(3, 2)) - (a * b).scale(Fraction(1, 2))
+            ).is_zero()
+
+
 def test_poly_text_canonical_forms():
     p = pv(TH2) * pv(TH3) * pv(U, 3) * pv(Y) - pv(U, 2) * pv(Y.with_order(2))
     assert poly_text(p) == "theta2*theta3*u^3*y - u^2*y''"

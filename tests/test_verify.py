@@ -1,5 +1,6 @@
 """Independent verification: back-substitution, stack substitution, trajectories."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -69,7 +70,7 @@ def test_closure_variables_are_order_zero(goldens):
 def test_backsubstitution_goldens(goldens):
     for model in goldens.values():
         _, iop = _iop(model)
-        rep = backsubstitute_check(model, iop)
+        rep = backsubstitute_check(output_closure(model, iop.order), iop)
         assert rep.ok
         assert len(rep.residuals) == len(iop.equations)
         assert all(r.is_zero() for r in rep.residuals)
@@ -79,7 +80,8 @@ def test_backsubstitution_rejects_corrupted_equation(product_coupling,
                                                      henon):
     for model in (product_coupling, henon):
         _, iop = _iop(model)
-        rep = backsubstitute_check(model, _corrupt(iop))
+        rep = backsubstitute_check(output_closure(model, iop.order),
+                                   _corrupt(iop))
         assert not rep.ok
         assert not rep.residuals[0].is_zero()
 
@@ -88,7 +90,48 @@ def test_stack_substitution_goldens(goldens):
     for model in goldens.values():
         for w in (1, 2, 3):
             s = build_stack(model, w)
-            assert stack_substitution_check(model, s)
+            assert stack_substitution_check(output_closure(model, w), s)
+
+
+def _highest_output_order(iop):
+    return max(v.order for psi in iop.equations for v in psi.indeterminates()
+               if v.kind is Kind.SIGNAL and v.role is Role.OUTPUT)
+
+
+def test_order_w_closure_matches_smallest_closure(goldens, henon):
+    # the order-w closure extends the closure at the equations' highest
+    # output order entry by entry, so back-substitution gives the same
+    # residuals from either
+    cases = [(m, 2) for m in goldens.values()] + [(henon, 4)]
+    for model, w in cases:
+        _, iop = _iop(model, w)
+        top = _highest_output_order(iop)
+        assert top <= w
+        small, full = output_closure(model, top), output_closure(model, w)
+        assert all(full[v] == e for v, e in small.items())
+        # the first equation gains y^(top), whose residual is not zero
+        y_top = Polynomial.var(signal(model.output_names[0], Role.OUTPUT, top))
+        bumped = IopSet([iop.equations[0] + y_top] + iop.equations[1:],
+                        iop.order, iop.normalizers, iop.discrete)
+        for eqs in (iop, bumped):
+            want = backsubstitute_check(small, eqs)
+            got = backsubstitute_check(full, eqs)
+            assert got.residuals == want.residuals
+            assert got.ok == want.ok
+        assert not got.ok
+
+
+def test_stack_substitution_rejects_corrupted_stack(henon, product_coupling):
+    # one A-block entry of O gains 1: that row no longer follows the model
+    for model in (henon, product_coupling):
+        s = build_stack(model, 2)
+        closure = output_closure(model, 2)
+        assert stack_substitution_check(closure, s)
+        row = 3 * len(model.outputs())   # the first A-block row follows y^(0..2)
+        O = [list(r) for r in s.O]
+        O[row][0] = O[row][0] + 1
+        bad = dataclasses.replace(s, O=O)
+        assert not stack_substitution_check(closure, bad)
 
 
 def test_trajectory_check_discrete(henon, burgers):
