@@ -11,9 +11,9 @@ builds its results through the private `Polynomial._of`, which trusts its
 dict.  A product of two multi-term polynomials writes each operand as
 integer numerators over one common denominator (the lcm of its coefficient
 denominators), sums the products as ints and makes one Fraction per nonzero
-sum, so the invariant holds there too; a single-term operand maps the other
-operand's terms one to one.  All arithmetic is exact; there is no floating
-point anywhere.
+sum, so the invariant holds there too; when one operand has at most one
+term, no two products merge and the coefficients multiply directly.  All
+arithmetic is exact; there is no floating point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -216,19 +216,17 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
-        left, right = self.terms, other.terms
-        if not left or not right:
-            return ZERO
-        if len(right) == 1:
-            left, right = right, left
-        if len(left) == 1:
-            # monomial multiplication is injective, so no two terms merge
-            ((m1, c1),) = left.items()
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) <= 1:
+            # monomial multiplication is injective: no two products merge
             return Polynomial._of({mono_mul(m1, m2): c1 * c2
-                                   for m2, c2 in right.items()})
+                                   for m1, c1 in small.items()
+                                   for m2, c2 in large.items()})
         # integer numerators over one common denominator per operand
-        da, na = _over_common_denominator(left)
-        db, nb = _over_common_denominator(right)
+        da, na = _over_common_denominator(self.terms)
+        db, nb = _over_common_denominator(other.terms)
         acc: dict = {}
         for m1, a in na:
             for m2, b in nb:
