@@ -2,14 +2,17 @@
 
 Forward elimination is fraction-free (Bareiss): every intermediate entry is
 a polynomial, divisions are exact by the previous pivot, and pivot zero
-tests are canonical-form tests, never numeric.  Rows with rational-function
-entries are first scaled polynomial by their denominator product; the scale
-is restored on the computed null-space vectors.  Back-substitution stays
-polynomial too: the free entry is set to the last pivot d, the rank-r minor
-of the pivot columns, so by Cramer's rule every other entry is a minor and
-each division by a pivot is exact.  Returned basis rows are divided by
-their full polynomial content (gcd across entries) and sign-normalized,
-which pins a one-dimensional null-space row uniquely up to nothing at all.
+tests are canonical-form tests, never numeric.  An update forms only the
+products whose factors are both nonzero; stacked matrices are mostly zero.
+Rows with rational-function entries are first scaled polynomial by their
+denominator product; the scale is restored on the computed null-space
+vectors.  Back-substitution stays polynomial too: the free entry is set to
+the last pivot d, the rank-r minor of the pivot columns, so by Cramer's rule
+every other entry is a minor and each division by a pivot is exact.
+Returned basis rows are divided by their full polynomial content (gcd
+across entries, folded from the entry with the fewest terms up) and
+sign-normalized, which pins a one-dimensional null-space row uniquely up to
+nothing at all.
 """
 from __future__ import annotations
 
@@ -56,11 +59,24 @@ def _bareiss_echelon(M: list):
         if best != r:
             M[r], M[best] = M[best], M[r]
         piv = M[r][c]
+        prow = M[r]
+        divide = prev != ONE
         for i in range(r + 1, rows):
+            row = M[i]
+            a = row[c]
             for j in range(c + 1, cols):
-                num = piv * M[i][j] - M[i][c] * M[r][j]
-                M[i][j] = exact_div(num, prev) if prev != ONE else num
-            M[i][c] = ZERO
+                x, y = row[j], prow[j]
+                # a product with a zero factor adds nothing: skip it
+                if a.is_zero() or y.is_zero():
+                    if x.is_zero():
+                        continue
+                    num = piv * x
+                elif x.is_zero():
+                    num = -(a * y)
+                else:
+                    num = piv * x - a * y
+                row[j] = exact_div(num, prev) if divide else num
+            row[c] = ZERO
         pivots.append((r, c))
         prev = piv
         r += 1
@@ -132,8 +148,13 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
 
 
 def _normalize_row(row: list) -> list:
+    # fold the gcd from the shortest entry up: a one-term entry makes it a
+    # monomial gcd at once, before the longest entries reach the PRS; the
+    # gcd is primitive with a positive leading coefficient, so the order
+    # does not change it
     content = ZERO
-    for p in row:
+    for p in sorted((p for p in row if not p.is_zero()),
+                    key=lambda p: len(p.terms)):
         content = poly_gcd(content, p)
         if content == ONE:
             break

@@ -33,6 +33,12 @@ class Expression:
             raise ZeroPolynomialError("zero denominator")
         if num.is_zero():
             den = ONE
+        elif den.is_constant():
+            # a unit denominator: gcd 1, content c, so (num / c, 1)
+            c = den.constant_value()
+            if c != 1:
+                num = num.scale(1 / c)
+            den = ONE
         else:
             g = poly_gcd(num, den)
             if g != ONE:

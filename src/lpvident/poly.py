@@ -12,8 +12,11 @@ dict.  A product of two multi-term polynomials writes each operand as
 integer numerators over one common denominator (the lcm of its coefficient
 denominators), sums the products as ints and makes one Fraction per nonzero
 sum, so the invariant holds there too; when one operand has at most one
-term, no two products merge and the coefficients multiply directly.  All
-arithmetic is exact; there is no floating point anywhere.
+term, no two products merge and the coefficients multiply directly.
+Exact division follows the same split: a one-term divisor divides each term
+by its monomial, and a longer one runs long division on a single remainder
+dict updated in place.  All arithmetic is exact; there is no floating point
+anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -83,17 +86,29 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    out = dict(a)
-    for v, e in b:
-        r = out.get(v, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            out.pop(v)
-        else:
-            out[v] = r
-    return _mono(out)
+    """a / b, or None when b does not divide a.
+
+    A merge of the two sorted tuples, like `mono_mul`: the quotient keeps
+    a's order and needs no sort.
+    """
+    if not b:
+        return a
+    out = []
+    j = 0
+    nb = len(b)
+    for va, ea in a:
+        if j < nb:
+            vb, eb = b[j]
+            if vb is va or vb.sort_key == va.sort_key:
+                j += 1
+                if ea < eb:
+                    return None
+                if ea > eb:
+                    out.append((va, ea - eb))
+                continue
+        out.append((va, ea))
+    # an indeterminate of b that a lacks stops j short of the end
+    return tuple(out) if j == nb else None
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
@@ -319,14 +334,24 @@ class Polynomial:
         return Polynomial(out)
 
     def evaluate(self, bindings: dict) -> Fraction:
-        """Exact value with every indeterminate bound to a rational."""
+        """Exact value with every indeterminate bound to a rational.
+
+        Each power v^e is computed once per call and shared by the terms
+        that hold it.
+        """
+        powers: dict = {}
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m:
-                if v not in bindings:
-                    raise UnboundIndeterminate(f"no value bound for {v.display()}")
-                val *= Fraction(bindings[v]) ** e
+            for ve in m:
+                p = powers.get(ve)
+                if p is None:
+                    v, e = ve
+                    if v not in bindings:
+                        raise UnboundIndeterminate(
+                            f"no value bound for {v.display()}")
+                    p = powers[ve] = Fraction(bindings[v]) ** e
+                val *= p
             total += val
         return total
 
@@ -411,25 +436,45 @@ def collect(p: Polynomial, vars_: set) -> dict:
 # --- exact division and gcd ---
 
 def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a / b when b divides a exactly; raises ExactDivisionError otherwise."""
+    """a / b when b divides a exactly; raises ExactDivisionError otherwise.
+
+    A one-term divisor, constants included, divides term by term
+    (`mono_div`, injective, so no two quotient terms merge).  A longer divisor runs long division on one
+    remainder dict that each quotient term updates in place.
+    """
     if b.is_zero():
         raise ZeroPolynomialError("division by zero polynomial")
     if a.is_zero():
         return ZERO
-    if b.is_constant():
-        return a.scale(1 / b.constant_value())
-    q: dict = {}
-    r = a
+    if len(b.terms) == 1:
+        ((bm, bc),) = b.terms.items()
+        q: dict = {}
+        for m, c in a.terms.items():
+            qm = mono_div(m, bm)
+            if qm is None:
+                raise ExactDivisionError("inexact polynomial division")
+            q[qm] = c / bc
+        return Polynomial._of(q)
     bm, bc = b.leading()
-    while not r.is_zero():
-        rm, rc = r.leading()
+    tail = [(m, c) for m, c in b.terms.items() if m != bm]
+    q = {}
+    r = dict(a.terms)
+    while r:
+        rm = max(r, key=mono_key)
         m = mono_div(rm, bm)
         if m is None:
             raise ExactDivisionError("inexact polynomial division")
-        c = rc / bc
-        q[m] = q.get(m, Fraction(0)) + c
-        r = r - Polynomial({m: c}) * b
-    return Polynomial(q)
+        c = r.pop(rm) / bc
+        q[m] = c
+        # the leading product cancels rm by construction; subtract the rest
+        for tm, tc in tail:
+            pm = mono_mul(m, tm)
+            s = r.get(pm, 0) - c * tc
+            if s:
+                r[pm] = s
+            else:
+                del r[pm]
+    return Polynomial._of(q)
 
 
 def _main_var(p: Polynomial) -> Indeterminate:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report schema, exit codes."""
 
+import faulthandler
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import lpvident
 from conftest import model_path
 from lpvident.cli import AnalysisConfig, _run_verifier, main
 from lpvident.elimination import left_nullspace
+from lpvident.expr import dot, expr_text
 from lpvident.groebner import groebner_basis
 from lpvident.iop import form_iop
 from lpvident.model import parse_model
@@ -270,6 +272,30 @@ def test_chain4_needs_one_basis_per_trial(tmp_path, capsys, monkeypatch):
     assert [p["status"] for p in verdict["parameters"].values()] == (
         ["Global"] * 7)
     assert len(bases) == verdict["trials"] == 5
+
+
+def test_chain4_iop_order5_finishes(tmp_path, capsys):
+    # the null-space rows of this stack once sent the row normalisation into
+    # the dense recursive gcd for minutes; a regression must fail, not hang
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
+    try:
+        path = tmp_path / "chain4.lpv"
+        path.write_text(CHAIN4_DISCRETE)
+        code, report, _ = _run_json(capsys, "iop", path, "--order", "5")
+        assert code == 0
+        (entry,) = report["trace"]
+        assert entry["nullspace_dim"] == entry["rows"] - entry["rank"] > 0
+        # the reported rows are the computed ones, and each one annihilates O
+        stack = build_stack(parse_model(CHAIN4_DISCRETE), 5)
+        basis = left_nullspace(stack.O)
+        assert basis.dimension == stack.rows - basis.rank
+        assert entry["omega"] == [[expr_text(e, discrete=True) for e in row]
+                                  for row in basis.rows]
+        for omega in basis.rows:
+            for j in range(stack.cols):
+                assert dot(omega, [row[j] for row in stack.O]).is_zero()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def test_warnings_render_in_text_report(capsys):

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 from conftest import random_models
 from lpvident.elimination import (_bareiss_echelon, _normalize_row,
-                                  _to_poly_rows, left_nullspace, rank_rational)
+                                  _pivot_weight, _to_poly_rows, left_nullspace,
+                                  rank_rational)
 from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
                            expr_text)
 from lpvident.indets import Role, parameter, signal
 from lpvident.model import parse_model
+from lpvident.poly import ONE, ZERO, Polynomial, exact_div, poly_gcd
 from lpvident.stacking import build_stack
 
 
@@ -176,3 +178,68 @@ def test_hand_built_nullspace_has_dimension_two():
     assert (basis.rank, basis.dimension) == (3, 2)
     for omega in basis.rows:
         assert _annihilates(omega, M)
+
+
+def _dense_bareiss(M):
+    """Oracle: the Bareiss update on every entry, zero factors included."""
+    rows, cols = len(M), len(M[0])
+    prev, pivots, r = ONE, [], 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        cand = [i for i in range(r, rows) if not M[i][c].is_zero()]
+        if not cand:
+            continue
+        best = min(cand, key=lambda i: _pivot_weight(M[i][c]))
+        M[r], M[best] = M[best], M[r]
+        piv = M[r][c]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = piv * M[i][j] - M[i][c] * M[r][j]
+                M[i][j] = exact_div(num, prev) if prev != ONE else num
+            M[i][c] = ZERO
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+    return pivots, len(pivots)
+
+
+def _column_order_normalize(row):
+    """Oracle: the content gcd folded in column order."""
+    content = ZERO
+    for p in row:
+        content = poly_gcd(content, p)
+    row = [exact_div(p, content) if not p.is_zero() else p for p in row]
+    return _normalize_row(row)
+
+
+def _polynomial_matrices(goldens):
+    out = [build_stack(model, w).O
+           for model in goldens.values() for w in (1, 2, 3)]
+    out += [build_stack(model, 1, size_cap=256).O
+            for model in random_models(30)]
+    out.append(_hand_built_matrix())
+    return [_to_poly_rows(M)[0] for M in out]
+
+
+def test_sparse_bareiss_update_matches_dense_oracle(goldens):
+    for M in _polynomial_matrices(goldens):
+        T = [list(col) for col in zip(*M)]
+        T_dense = [list(col) for col in T]
+        assert _bareiss_echelon(T) == _dense_bareiss(T_dense)
+        assert T == T_dense
+
+
+def test_shortest_first_content_matches_column_order(goldens):
+    checked = 0
+    for M in _polynomial_matrices(goldens):
+        for row in M:
+            if all(p.is_zero() for p in row):
+                continue
+            # a common factor makes the content nontrivial
+            for f in (ONE, Polynomial.var(parameter("theta", 1)) + 1):
+                scaled = [p * f for p in row]
+                assert _normalize_row(scaled) == \
+                    _column_order_normalize(scaled)
+                checked += 1
+    assert checked > 0

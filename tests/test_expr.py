@@ -9,7 +9,7 @@ from lpvident.errors import DenominatorVanishes, ZeroPolynomialError
 from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
                            dot, expr_text, substitute_poly)
 from lpvident.indets import Role, parameter, signal
-from lpvident.poly import Polynomial, exact_div
+from lpvident.poly import ONE, Polynomial, exact_div, poly_gcd
 
 TH = parameter("theta", 1)
 TH3 = parameter("theta3", 3)
@@ -79,7 +79,6 @@ def test_canonical_form_reduced_and_positive_denominator():
             assert e.den == P.const(1)
             continue
         # numerator and denominator share no factor
-        from lpvident.poly import poly_gcd
         g = poly_gcd(e.num, e.den)
         assert g.is_constant()
         # denominator content is normalized positive
@@ -90,6 +89,29 @@ def test_same_value_same_representation():
     a = E(P.var(U) * P.var(Y), P.var(U, 2))            # y*u / u^2
     b = E(P.var(Y), P.var(U))
     assert a == b and a.num == b.num and a.den == b.den
+
+
+def _gcd_content_form(num, den):
+    """(num, den) by the general route: divide out the gcd, then the
+    content of the denominator."""
+    if num.is_zero():
+        return num, P.const(1)
+    g = poly_gcd(num, den)
+    num, den = exact_div(num, g), exact_div(den, g)
+    dc = den.content()
+    return num.scale(1 / dc), den.scale(1 / dc)
+
+
+@pytest.mark.parametrize("c", [1, 2, Fraction(-3, 2)])
+def test_constant_denominator_divides_the_numerator(c):
+    rng = random.Random(37)
+    polys = [rand_expr(rng, [TH, U, Y]).num for _ in range(10)] + [P()]
+    for p in polys:
+        e = E(p, P.const(c))
+        assert e.den == ONE
+        assert (e.num, e.den) == (E(p.scale(1 / Fraction(c))).num, ONE)
+        assert (e.num, e.den) == _gcd_content_form(p, P.const(c))
+    assert E(P(), P.const(c)) == E_ZERO
 
 
 def test_inverse_and_pow():

@@ -10,9 +10,9 @@ from lpvident.errors import (ExactDivisionError, UnboundIndeterminate,
 from lpvident.indets import (Indeterminate, Role, parameter, ref_parameter,
                              signal)
 from lpvident.poly import _mono as mono_of
-from lpvident.poly import (Polynomial, collect, exact_div, mono_key,
-                           mono_mul, normalize_primitive, poly_gcd, poly_lcm,
-                           poly_text)
+from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
+                           mono_key, mono_mul, normalize_primitive, poly_gcd,
+                           poly_lcm, poly_text)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -156,6 +156,38 @@ def test_evaluate_exact_and_unbound():
         p.evaluate({TH2: Fraction(2)})
 
 
+def _evaluate_term_by_term(p, bindings):
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        val = c
+        for v, e in m:
+            if v not in bindings:
+                raise UnboundIndeterminate(f"no value bound for {v.display()}")
+            val *= Fraction(bindings[v]) ** e
+        total += val
+    return total
+
+
+def test_evaluate_matches_term_by_term_oracle():
+    rng = random.Random(29)
+    indets = [TH1, TH2, U, Y]
+    for _ in range(40):
+        p = rand_poly(rng, indets, max_terms=8, max_deg=3)
+        bind = {v: rng.choice([0, 1, -2, Fraction(3, 7), Fraction(-5, 2)])
+                for v in indets}
+        assert p.evaluate(bind) == _evaluate_term_by_term(p, bind)
+
+
+def test_evaluate_unbound_in_a_later_term():
+    # the first terms bind, and their powers are cached before Y is met
+    p = pv(TH1, 2) + pv(TH1, 2) * pv(U) + pv(U) * pv(Y, 3)
+    bind = {TH1: Fraction(2), U: Fraction(-1, 3)}
+    with pytest.raises(UnboundIndeterminate, match="no value bound for y"):
+        p.evaluate(bind)
+    with pytest.raises(UnboundIndeterminate, match="no value bound for y"):
+        _evaluate_term_by_term(p, bind)
+
+
 def test_normalize_primitive_golden_values():
     p = P.const(-2) * pv(TH1) + P.const(4)
     prim, content = normalize_primitive(p)
@@ -198,6 +230,72 @@ def test_exact_division():
         assert exact_div(a * b, b) == a
     with pytest.raises(ExactDivisionError):
         exact_div(pv(U, 2) + P.const(1), pv(U))
+
+
+def _oracle_exact_div(a, b):
+    """Long division that rebuilds the remainder for every quotient term."""
+    if b.is_constant():
+        return a.scale(1 / b.constant_value())
+    q: dict = {}
+    r = a
+    bm, bc = b.leading()
+    while not r.is_zero():
+        rm, rc = r.leading()
+        m = _oracle_mono_div(rm, bm)
+        if m is None:
+            raise ExactDivisionError("inexact polynomial division")
+        c = rc / bc
+        q[m] = q.get(m, Fraction(0)) + c
+        r = r - Polynomial({m: c}) * b
+    return Polynomial(q)
+
+
+def _oracle_mono_div(a, b):
+    out = dict(a)
+    for v, e in b:
+        r = out.get(v, 0) - e
+        if r < 0:
+            return None
+        if r == 0:
+            out.pop(v)
+        else:
+            out[v] = r
+    return mono_of(out)
+
+
+@pytest.mark.parametrize("shape", ["monomial", "constant", "multi-term"])
+def test_exact_div_matches_remainder_rebuilding_oracle(shape):
+    rng = random.Random(23)
+    indets = [TH1, TH2, U, Y]
+    seen = 0
+    while seen < 40:
+        a = rand_poly(rng, indets, max_terms=6)
+        if shape == "monomial":
+            b = rand_poly(rng, indets, max_terms=1)
+        elif shape == "constant":
+            b = P.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        else:
+            b = rand_poly(rng, indets, max_terms=4)
+        if b.is_zero() or (shape == "multi-term") != (len(b.terms) > 1):
+            continue
+        seen += 1
+        got = exact_div(a * b, b)
+        assert got == _oracle_exact_div(a * b, b) == a
+        assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("a,b", [
+    (pv(U, 2) + P.const(1), pv(U)),                 # one-term divisor
+    (pv(U) * pv(Y), pv(U, 2)),                      # exponent too small
+    (pv(U) * pv(Y), pv(TH1) * pv(U)),               # indeterminate missing
+    (pv(TH1) * pv(U) + P.const(1), pv(TH1) + P.const(1)),
+    (pv(TH1, 2) * pv(U) + pv(Y), pv(TH1) * pv(U) + pv(Y)),
+])
+def test_inexact_division_raises_in_both_paths(a, b):
+    with pytest.raises(ExactDivisionError):
+        _oracle_exact_div(a, b)
+    with pytest.raises(ExactDivisionError):
+        exact_div(a, b)
 
 
 def test_poly_gcd_recovers_common_factor():
@@ -312,6 +410,35 @@ def test_mono_mul_merge_matches_sorted_exponent_sum():
         keys = [v.sort_key for v, _ in got]
         assert keys == sorted(set(keys))
     assert mono_mul((), ((U, 1),)) == ((U, 1),) == mono_mul(((U, 1),), ())
+
+
+def test_mono_div_merge_matches_exponent_difference():
+    variables = [ref_parameter(1), TH1, TH2, TH3]
+    variables += [signal(b, r, k) for b, r in (("u", Role.INPUT),
+                                               ("y", Role.OUTPUT))
+                  for k in (0, 2)]
+    rng = random.Random(13)
+
+    def rand_exps():
+        return {v: e for v in variables
+                if (e := rng.choice((0, 0, 0, 1, 2, 3)))}
+
+    def copy(v):
+        return Indeterminate(v.kind, v.base, v.index, v.role, v.order)
+
+    for _ in range(2000):
+        da, db = rand_exps(), rand_exps()
+        a = mono_of(da)
+        b = mono_of({copy(v): e for v, e in db.items()})
+        got = mono_div(a, b)
+        if all(da.get(v, 0) >= e for v, e in db.items()):
+            diff = {v: e - db.get(v, 0) for v, e in da.items()}
+            assert got == mono_of({v: e for v, e in diff.items() if e})
+            assert mono_mul(got, b) == a
+        else:
+            assert got is None
+    assert mono_div(((U, 1),), ()) == ((U, 1),)
+    assert mono_div((), ((U, 1),)) is None
 
 
 def test_ring_results_keep_nonzero_fraction_coefficients():
