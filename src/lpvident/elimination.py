@@ -2,8 +2,9 @@
 
 Forward elimination is fraction-free (Bareiss): every intermediate entry is
 a polynomial, divisions are exact by the previous pivot, and pivot zero
-tests are canonical-form tests, never numeric.  An update forms only the
-products whose factors are both nonzero; stacked matrices are mostly zero.
+tests are canonical-form tests, never numeric.  An update skips an entry
+that is zero and would only gain a product with a zero factor; stacked
+matrices are mostly zero.
 Rows with rational-function entries are first scaled polynomial by their
 denominator product; the scale is restored on the computed null-space
 vectors.  Back-substitution stays polynomial too: the free entry is set to
@@ -65,16 +66,11 @@ def _bareiss_echelon(M: list):
             row = M[i]
             a = row[c]
             for j in range(c + 1, cols):
-                x, y = row[j], prow[j]
-                # a product with a zero factor adds nothing: skip it
-                if a.is_zero() or y.is_zero():
-                    if x.is_zero():
-                        continue
-                    num = piv * x
-                elif x.is_zero():
-                    num = -(a * y)
-                else:
-                    num = piv * x - a * y
+                x = row[j]
+                # an entry that is zero and gains a zero product stays zero
+                if x.is_zero() and (a.is_zero() or prow[j].is_zero()):
+                    continue
+                num = piv * x - a * prow[j]
                 row[j] = exact_div(num, prev) if divide else num
             row[c] = ZERO
         pivots.append((r, c))

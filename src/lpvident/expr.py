@@ -34,7 +34,8 @@ class Expression:
         if num.is_zero():
             den = ONE
         elif den.is_constant():
-            # a unit denominator: gcd 1, content c, so (num / c, 1)
+            # a constant is a unit, so the form is (num / c, 1); nearly every
+            # Expression has one, and this skips poly_gcd and content()
             c = den.constant_value()
             if c != 1:
                 num = num.scale(1 / c)

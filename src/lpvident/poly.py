@@ -439,8 +439,9 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     """a / b when b divides a exactly; raises ExactDivisionError otherwise.
 
     A one-term divisor, constants included, divides term by term
-    (`mono_div`, injective, so no two quotient terms merge).  A longer divisor runs long division on one
-    remainder dict that each quotient term updates in place.
+    (`mono_div`, injective, so no two quotient terms merge).  A longer
+    divisor runs long division on one remainder dict that each quotient
+    term updates in place.
     """
     if b.is_zero():
         raise ZeroPolynomialError("division by zero polynomial")
