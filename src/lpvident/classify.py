@@ -31,7 +31,7 @@ from .expr import Expression
 from .groebner import gpoly_text, groebner_basis, univariate_members
 from .indets import Indeterminate, ref_parameter
 from .iop import ExhaustiveSummary, IopSet
-from .poly import normalize_primitive
+from .poly import Polynomial, normalize_primitive
 
 GLOBAL = "Global"
 LOCAL = "Local"
@@ -101,28 +101,22 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
     DenominatorVanishesAtTheta so the caller can redraw.
     """
     gens = []
-    if theta_ref is None:
-        ref = {p: ref_parameter(p.index) for p in params}
-        for e in summary.elements:
+    ref = {p: ref_parameter(p.index) for p in params}
+    for e in summary.elements:
+        if theta_ref is None:
             n_ref = e.num.substitute_vars(ref)
             d_ref = e.den.substitute_vars(ref)
-            g = e.num * d_ref - n_ref * e.den
-            if g.is_zero():
-                continue
-            g, _ = normalize_primitive(g)
-            gens.append(g)
-    else:
-        for e in summary.elements:
-            d_val = e.den.evaluate(theta_ref)
-            if d_val == 0:
+        else:
+            d_ref = Polynomial.const(e.den.evaluate(theta_ref))
+            if d_ref.is_zero():
                 raise DenominatorVanishesAtTheta(
                     "summary element denominator vanishes at theta_ref")
-            n_val = e.num.evaluate(theta_ref)
-            g = e.num.scale(d_val) - e.den.scale(n_val)
-            if g.is_zero():
-                continue
-            g, _ = normalize_primitive(g)
-            gens.append(g)
+            n_ref = Polynomial.const(e.num.evaluate(theta_ref))
+        g = e.num * d_ref - n_ref * e.den
+        if g.is_zero():
+            continue
+        g, _ = normalize_primitive(g)
+        gens.append(g)
     return gens
 
 
@@ -157,11 +151,11 @@ def _classify_parameter(gens: list, params: list, target: Indeterminate,
 
 
 def _check_root(g, target: Indeterminate, theta_ref: dict | None):
-    """A monic degree-1 elimination polynomial must vanish at theta_ref."""
-    const = g.terms.get((0,) * len(g.variables))
-    if const is None:
-        return  # root is zero; theta_ref never contains zero
-    root = -const
+    """A monic degree-1 elimination polynomial must vanish at theta_ref.
+
+    A missing constant term is a root of 0, which theta_ref never holds.
+    """
+    root = -g.terms.get((0,) * len(g.variables), 0)
     if theta_ref is None:
         expected = Expression.var(ref_parameter(target.index))
     else:

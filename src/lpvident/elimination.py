@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd
 
 from .expr import Expression, clear_denominators
 from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
-                   poly_text)
+                   poly_text, rational_content)
 
 
 @dataclass
@@ -158,13 +157,9 @@ def _normalize_row(row: list) -> list:
         row = [exact_div(p, content) if not p.is_zero() else p for p in row]
     # joint rational content: make the row integer, primitive, and give the
     # first nonzero entry a positive leading coefficient
-    nums, dens = 0, 1
-    for p in row:
-        for coef in p.terms.values():
-            nums = _igcd(nums, coef.numerator)
-            dens = dens * coef.denominator // _igcd(dens, coef.denominator)
-    if nums:
-        scale = Fraction(dens, nums)
+    cont = rational_content(row)
+    if cont:
+        scale = 1 / cont
         lead = next(p for p in row if not p.is_zero())
         if lead.content() < 0:
             scale = -scale

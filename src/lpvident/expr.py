@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import DenominatorVanishes, ZeroPolynomialError
 from .indets import Indeterminate
-from .poly import (ONE, ZERO, Polynomial, add_terms_into, collect, exact_div,
-                   poly_gcd, poly_lcm, poly_text)
+from .poly import (ONE, ZERO, Polynomial, _coerce, add_terms_into, collect,
+                   exact_div, poly_gcd, poly_lcm, poly_text)
 
 
 class Expression:
@@ -27,8 +27,8 @@ class Expression:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _poly(num)
-        den = ONE if den is None else _poly(den)
+        num = _coerce(num)
+        den = ONE if den is None else _coerce(den)
         if den.is_zero():
             raise ZeroPolynomialError("zero denominator")
         if num.is_zero():
@@ -169,18 +169,10 @@ class Expression:
         return expr_text(self)
 
 
-def _poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
-
-
 def _expr(x) -> Expression:
     if isinstance(x, Expression):
         return x
-    return Expression(_poly(x))
+    return Expression(_coerce(x))
 
 
 E_ZERO = Expression(ZERO)

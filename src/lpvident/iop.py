@@ -4,11 +4,11 @@ Multiplying the stacked relation by a left null-space row of O eliminates
 the state: psi = omega . (Y0 + G U) = 0 on every trajectory.  Each psi is
 cleared to a primitive polynomial.  The exhaustive summary collects, per
 equation, the ratios of signal-monomial coefficients to one distinguished
-normalizer coefficient: the coefficient of the highest-ranked signal
-monomial under (max output derivative/shift order, total degree, canonical
-order).  Ratios that still depend on the parameters form the summary;
-ratios are stored with primitive numerator and denominator, so two elements
-equal up to rational scale collapse to one.
+normalizer coefficient, chosen in `extract_summary`: the coefficient of the
+highest-ranked signal monomial under (max output derivative/shift order,
+total degree, canonical order).  Ratios that still depend on the parameters
+form the summary; ratios are stored with primitive numerator and
+denominator, so two elements equal up to rational scale collapse to one.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import (EmptyNullspace, NoParameterDependence, StateNotEliminated)
 from .indets import Kind, Role
 from .expr import Expression, dot
-from .poly import Monomial, Polynomial, mono_key, normalize_primitive
+from .poly import Monomial, Polynomial, collect, mono_key, normalize_primitive
 
 from .stacking import StackedSystem
 
@@ -26,7 +26,6 @@ from .stacking import StackedSystem
 class IopSet:
     equations: list       # list of Polynomial in signals and parameters
     order: int            # stack order w
-    normalizers: list     # per equation: (signal monomial, Polynomial coeff)
     discrete: bool = False
 
     def outputs_in(self, idx: int) -> set:
@@ -38,7 +37,6 @@ class IopSet:
 @dataclass
 class ExhaustiveSummary:
     elements: list        # list of Expression in parameters only
-    provenance: list      # per element: (equation index, signal monomial)
 
 
 def _signal_vars(p: Polynomial) -> set:
@@ -52,6 +50,16 @@ def _monomial_rank(m: Monomial) -> tuple:
     return (out_order, mono_key(m))
 
 
+def _ranked_groups(psi: Polynomial) -> list:
+    """psi's (signal monomial, coefficient) groups, highest ranked first.
+
+    The first group's coefficient is the equation's normalizer.
+    """
+    groups = collect(psi, _signal_vars(psi))
+    return sorted(groups.items(), key=lambda t: _monomial_rank(t[0]),
+                  reverse=True)
+
+
 def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
     """Contract null-space rows with the known side of the stacked system."""
     if not nullspace.rows:
@@ -59,50 +67,34 @@ def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
             f"stacked matrix at order {stack.order} has no left null-space")
     known = stack.known_side()
     equations = []
-    normalizers = []
-    state_vars = {x.with_order(0) for x in stack.X}
     for om in nullspace.rows:
         acc = dot(om, known)
         if acc.is_zero():
             continue
-        psi = acc.num  # eliminate scale: clear the denominator entirely
-        psi, _ = normalize_primitive(psi)
+        # eliminate scale: clear the denominator entirely
+        psi, _ = normalize_primitive(acc.num)
         bad = {v for v in psi.indeterminates()
                if v.kind is Kind.SIGNAL and v.role is Role.STATE}
         if bad:
             names = ", ".join(sorted(v.display() for v in bad))
             raise StateNotEliminated(f"states remain in equation: {names}")
-        sigs = _signal_vars(psi)
-        params = {v for v in psi.indeterminates() if v.kind is Kind.PARAMETER}
-        if not sigs and not params:
+        if psi.is_constant():
             continue  # vacuous constant relation
-        groups = sorted(((m, c) for m, c in _collect_signals(psi).items()),
-                        key=lambda t: _monomial_rank(t[0]))
-        norm_mono, norm_coeff = groups[-1]
         equations.append(psi)
-        normalizers.append((norm_mono, norm_coeff))
     if not equations:
         raise EmptyNullspace("all candidate equations were identically zero")
-    return IopSet(equations, stack.order, normalizers, discrete)
-
-
-def _collect_signals(psi: Polynomial) -> dict:
-    from .poly import collect
-    return collect(psi, _signal_vars(psi))
+    return IopSet(equations, stack.order, discrete)
 
 
 def extract_summary(iop: IopSet) -> ExhaustiveSummary:
     """Pool normalized coefficient ratios across equations, deduplicated."""
     elements = []
-    provenance = []
     seen = set()
-    for idx, psi in enumerate(iop.equations):
-        groups = _collect_signals(psi)
-        _, norm = iop.normalizers[idx]
-        norm_e = Expression(norm)
-        order = sorted(groups, key=_monomial_rank, reverse=True)
-        for m in order:
-            ratio = Expression(groups[m]) / norm_e
+    for psi in iop.equations:
+        groups = _ranked_groups(psi)
+        norm = Expression(groups[0][1])
+        for _, coeff in groups:
+            ratio = Expression(coeff) / norm
             if not ratio.indeterminates():
                 continue  # constant ratio carries no parameter information
             rep = _canonical_element(ratio)
@@ -110,11 +102,10 @@ def extract_summary(iop: IopSet) -> ExhaustiveSummary:
                 continue
             seen.add(rep)
             elements.append(rep)
-            provenance.append((idx, m))
     if not elements:
         raise NoParameterDependence(
             "no summary element depends on the parameters")
-    return ExhaustiveSummary(elements, provenance)
+    return ExhaustiveSummary(elements)
 
 
 def _canonical_element(ratio: Expression) -> Expression:

@@ -23,12 +23,11 @@ is an error.
 """
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (DimensionMismatch, LpvIdentError, ModelSyntaxError,
+from .elimination import left_nullspace
+from .errors import (DimensionMismatch, ModelSyntaxError,
                      NotAffineInParameters, StateInMatrixEntry,
                      UnknownSymbol)
 from .indets import Kind, Role, parameter, signal
@@ -379,17 +378,13 @@ def parse_model(text: str) -> LpvModel:
                     f"name {nm!r} declared as both {declared[nm]} and {group}", 1, 1)
             declared[nm] = group
 
-    symbols: dict = {}
-    for i, nm in enumerate(param_names):
-        symbols[nm] = parameter(nm, i + 1)
-    for nm in state_names:
-        symbols[nm] = signal(nm, Role.STATE)
-    for nm in input_names:
-        symbols[nm] = signal(nm, Role.INPUT)
-    for nm in output_names:
-        symbols[nm] = signal(nm, Role.OUTPUT)
-    for nm in sched_names:
-        symbols[nm] = signal(nm, Role.SCHEDULING)
+    # the matrices are filled in below, parsed against the model's symbols
+    model = LpvModel(domain, tuple(state_names), tuple(input_names),
+                     tuple(output_names), tuple(param_names), tuple(sched_names),
+                     (), (), (), ())
+    symbols = {v.base: v for v in (*model.params(), *model.states(),
+                                   *model.inputs(), *model.outputs(),
+                                   *model.scheduling())}
 
     n, m, p = len(state_names), len(input_names), len(output_names)
     shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m)}
@@ -414,89 +409,50 @@ def parse_model(text: str) -> LpvModel:
             out.append(tuple(_EntryParser(entry, symbols).parse() for entry in row))
         return tuple(out)
 
-    A = parse_matrix("A")
-    B = parse_matrix("B")
-    C = parse_matrix("C")
-    D = parse_matrix("D")
-
-    model = LpvModel(domain, tuple(state_names), tuple(input_names),
-                     tuple(output_names), tuple(param_names), tuple(sched_names),
-                     A, B, C, D)
-    diags = validate_model(model)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        d = errors[0]
-        exc = {"state-in-entry": StateInMatrixEntry,
-               "not-affine": NotAffineInParameters,
-               "dimension": DimensionMismatch}.get(d.code, ModelSyntaxError)
-        raise exc(d.message, d.line, d.col)
-    model.warnings = tuple(d for d in diags if d.severity == "warning")
+    model.A, model.B, model.C, model.D = (parse_matrix(k) for k in _MATRICES)
+    model.warnings = tuple(validate_model(model))
     return model
 
 
 def validate_model(model: LpvModel) -> list:
-    """Structural checks; returns diagnostics (errors and warnings)."""
-    diags: list = []
+    """Structural checks: raises the first error, returns the warnings.
+
+    The rank of C is its exact rank over the rational functions of the
+    signals, so a deficit is generic, not an accident of sample points.
+    """
     params = set(model.params())
     states = set(model.states())
-
-    def entries():
-        for key, mat in (("A", model.A), ("B", model.B), ("C", model.C), ("D", model.D)):
-            for i, row in enumerate(mat):
-                for j, e in enumerate(row):
-                    yield key, i, j, e
-
     saw_output = False
-    for key, i, j, e in entries():
-        vars_ = e.indeterminates()
-        if vars_ & states:
-            diags.append(ParseDiagnostic(
-                "error", "state-in-entry",
-                f"state appears in {key}[{i+1},{j+1}]; states are not valid "
-                f"scheduling premises (substitute measured signals)", 0, 0))
-        if e.num.degree_in(params) > 1 or e.den.degree_in(params) > 0:
-            diags.append(ParseDiagnostic(
-                "error", "not-affine",
-                f"entry {key}[{i+1},{j+1}] is not affine in the parameters", 0, 0))
-        if any(v.kind is Kind.SIGNAL and v.role is Role.OUTPUT for v in vars_):
-            saw_output = True
-        if any(v.kind is Kind.SIGNAL and v.order != 0 for v in vars_):
-            diags.append(ParseDiagnostic(
-                "error", "dimension",
-                f"entry {key}[{i+1},{j+1}] uses a shifted or differentiated signal",
-                0, 0))
+    for key in _MATRICES:
+        for i, row in enumerate(getattr(model, key)):
+            for j, e in enumerate(row):
+                vars_ = e.indeterminates()
+                if vars_ & states:
+                    raise StateInMatrixEntry(
+                        f"state appears in {key}[{i+1},{j+1}]; states are not "
+                        f"valid scheduling premises (substitute measured signals)")
+                if e.num.degree_in(params) > 1 or e.den.degree_in(params) > 0:
+                    raise NotAffineInParameters(
+                        f"entry {key}[{i+1},{j+1}] is not affine in the parameters")
+                if any(v.kind is Kind.SIGNAL and v.order != 0 for v in vars_):
+                    raise DimensionMismatch(
+                        f"entry {key}[{i+1},{j+1}] uses a shifted or "
+                        f"differentiated signal")
+                if any(v.kind is Kind.SIGNAL and v.role is Role.OUTPUT
+                       for v in vars_):
+                    saw_output = True
+    warnings = []
     if saw_output:
-        diags.append(ParseDiagnostic(
+        warnings.append(ParseDiagnostic(
             "warning", "output-premise",
             "outputs appear in matrix entries (output-substituted quasi-LPV); "
             "results rely on measured outputs as premise variables", 0, 0))
-
-    if model.p and model.n and _generic_rank_C(model) < min(model.p, model.n):
-        diags.append(ParseDiagnostic(
+    if model.p and model.n and left_nullspace(model.C).rank < min(model.p, model.n):
+        warnings.append(ParseDiagnostic(
             "warning", "rank-deficient-C",
             "C has generically deficient rank; some outputs carry no "
             "independent state information", 0, 0))
-    return diags
-
-
-def _generic_rank_C(model: LpvModel, trials: int = 3) -> int:
-    from .elimination import rank_rational
-    rng = random.Random(20210 + model.n)
-    best = 0
-    vars_ = set()
-    for row in model.C:
-        for e in row:
-            vars_ |= e.indeterminates()
-    for _ in range(trials):
-        bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13)) for v in vars_}
-        try:
-            rows = [[e.evaluate(bind) for e in row] for row in model.C]
-        except LpvIdentError:
-            continue
-        best = max(best, rank_rational(rows))
-        if best >= min(model.p, model.n):
-            break
-    return best
+    return warnings
 
 
 def print_model(model: LpvModel) -> str:

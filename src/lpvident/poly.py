@@ -371,16 +371,8 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Rational content carrying the sign of the leading coefficient."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        _, lc = self.leading()
-        return -cont if lc < 0 else cont
+        cont = rational_content((self,))
+        return -cont if cont and self.leading()[1] < 0 else cont
 
     def primitive(self) -> "Polynomial":
         if not self.terms:
@@ -397,6 +389,20 @@ def _over_common_denominator(terms: dict) -> tuple:
     d = lcm(*(c.denominator for c in terms.values()))
     return d, [(m, c.numerator * (d // c.denominator))
                for m, c in terms.items()]
+
+
+def rational_content(polys) -> Fraction:
+    """Positive gcd of every coefficient of the polynomials; 0 for none.
+
+    For reduced fractions it is the gcd of the numerators over the lcm of
+    the denominators.
+    """
+    num, den = 0, 1
+    for p in polys:
+        for c in p.terms.values():
+            num = int_gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+    return Fraction(num, den)
 
 
 def _coerce(x) -> Polynomial:
@@ -494,21 +500,9 @@ def _from_univariate(coeffs: dict, v: Indeterminate) -> Polynomial:
     return out
 
 
-def _rat_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(int_gcd(a.numerator * b.denominator,
-                            b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
 def _strip_rational(u: dict) -> dict:
     """Divide out the joint rational content; keeps PRS coefficients small."""
-    c = Fraction(0)
-    for p in u.values():
-        c = _rat_gcd(c, p.content())
+    c = rational_content(u.values())
     if c == 0 or c == 1:
         return u
     inv = 1 / c

@@ -146,7 +146,7 @@ def test_criterion_03_air_handling_unit_numeric(air_handling_unit):
     from lpvident.indets import ref_parameter
     from lpvident.iop import ExhaustiveSummary
     listed = [Expression(p) for p in _ahu_listed_elements(params)]
-    listed_summary = ExhaustiveSummary(listed, [(0, None)] * len(listed))
+    listed_summary = ExhaustiveSummary(listed)
     seq = params + [ref_parameter(i) for i in range(1, 5)]
     gens_live = evaluate_summary(summ, params)
     gens_listed = evaluate_summary(listed_summary, params)
@@ -235,7 +235,7 @@ def test_criterion_05_burgers_pipeline(burgers):
     from lpvident.iop import ExhaustiveSummary
     t1, t2 = (V(p) for p in params)
     listed = [Expression(p) for p in (t1, t2, t1 - t2 - t1 * t2)]
-    listed_summary = ExhaustiveSummary(listed, [(0, None)] * len(listed))
+    listed_summary = ExhaustiveSummary(listed)
     seq = params + [ref_parameter(i) for i in (1, 2)]
     gb_listed = groebner_basis(evaluate_summary(listed_summary, params), seq)
     assert all(reduce_gpoly(gpoly_from_polynomial(g, seq),

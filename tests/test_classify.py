@@ -52,7 +52,7 @@ GOLDEN_STATUSES = {
 def test_single_parameter_summary_is_global():
     from lpvident.indets import parameter
     t = parameter("theta1", 1)
-    summ = ExhaustiveSummary([Expression(Polynomial.var(t))], [(0, None)])
+    summ = ExhaustiveSummary([Expression(Polynomial.var(t))])
     for mode in ("symbolic", "numeric"):
         v = classify(summ, [t], mode=mode)
         assert v.model_status == GLOBAL
@@ -159,8 +159,7 @@ def _coupled_local_case():
     # lex(params) holds no member in theta1 alone, so theta1 needs its own
     t1, t2 = parameter("theta1", 1), parameter("theta2", 2)
     p1, p2 = Polynomial.var(t1), Polynomial.var(t2)
-    summ = ExhaustiveSummary([Expression(p1 - p2), Expression(p2 * p2)],
-                             [(0, None), (1, None)])
+    summ = ExhaustiveSummary([Expression(p1 - p2), Expression(p2 * p2)])
     return "coupled_local", summ, [t1, t2]
 
 
@@ -296,7 +295,7 @@ def test_denominator_vanishes_at_reference():
     from lpvident.indets import parameter
     t1, t2 = parameter("theta1", 1), parameter("theta2", 2)
     ratio = Expression(Polynomial.var(t1), Polynomial.var(t2))
-    summ = ExhaustiveSummary([ratio], [(0, None)])
+    summ = ExhaustiveSummary([ratio])
     with pytest.raises(DenominatorVanishesAtTheta):
         evaluate_summary(summ, [t1, t2],
                          {t1: Fraction(1), t2: Fraction(0)})
@@ -332,3 +331,24 @@ def test_jacobian_never_reports_global(goldens):
         v = jacobian_local_test(iop, params, trials=2, seed=1)
         assert all(s.status != GLOBAL for s in v.per_param.values())
         assert v.model_status != GLOBAL
+
+
+def test_check_root_rejects_a_zero_root():
+    # a monic linear eliminant with no constant term has the root 0, which
+    # no reference point holds, numeric (a prime) or symbolic
+    from lpvident.classify import _check_root
+    from lpvident.groebner import GPoly
+    from lpvident.errors import LpvIdentError
+    from lpvident.indets import ref_parameter
+    t1 = parameter("theta1", 1)
+    a = Expression.var(ref_parameter(1))
+    zero_root = GPoly({(1,): Fraction(1)}, (t1,))
+    for theta_ref in ({t1: Fraction(7)}, None):
+        with pytest.raises(LpvIdentError, match="inconsistent"):
+            _check_root(zero_root, t1, theta_ref)
+    _check_root(GPoly({(1,): Fraction(1), (0,): Fraction(-7)}, (t1,)), t1,
+                {t1: Fraction(7)})
+    _check_root(GPoly({(1,): Fraction(1), (0,): -a}, (t1,)), t1, None)
+    with pytest.raises(LpvIdentError, match="inconsistent"):
+        _check_root(GPoly({(1,): Fraction(1), (0,): Fraction(-5)}, (t1,)),
+                    t1, {t1: Fraction(7)})

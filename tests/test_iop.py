@@ -8,10 +8,12 @@ from lpvident.elimination import NullspaceBasis, left_nullspace
 from lpvident.errors import (EmptyNullspace, NoParameterDependence,
                              StateNotEliminated)
 from lpvident.expr import Expression, expr_text
-from lpvident.indets import Role, signal
-from lpvident.iop import ExhaustiveSummary, extract_summary, form_iop
+from lpvident.indets import Kind, Role, signal
+from lpvident.iop import (ExhaustiveSummary, _ranked_groups, extract_summary,
+                          form_iop)
 from lpvident.model import parse_model
-from lpvident.poly import Polynomial, normalize_primitive, poly_text
+from lpvident.poly import (Polynomial, collect, mono_key, normalize_primitive,
+                           poly_text)
 from lpvident.stacking import StackedSystem, build_stack
 
 
@@ -118,7 +120,6 @@ def test_summary_elements_are_deduplicated(goldens):
         _, _, summ = _pipeline(model)
         texts = [expr_text(e) for e in summ.elements]
         assert len(set(texts)) == len(texts)
-        assert len(summ.provenance) == len(summ.elements)
 
 
 def test_continuous_summaries_match_reported_sets_up_to_sign(
@@ -178,7 +179,7 @@ def test_air_handling_unit_reported_summary_same_ideal(air_handling_unit):
     _, _, summ = _pipeline(model)
     params = list(model.params())
     reported = _ahu_reported_elements(model)
-    listed = ExhaustiveSummary(reported, [(0, None)] * len(reported))
+    listed = ExhaustiveSummary(reported)
     live_gens = evaluate_summary(summ, params)
     listed_gens = evaluate_summary(listed, params)
     seq = params + [ref_parameter(i) for i in range(1, 5)]
@@ -211,7 +212,7 @@ def test_burgers_reported_summary_equivalence(burgers):
     th = _theta(model)
     t1, t2 = th["theta1"], th["theta2"]
     reported = [t1, t2, t1 - t2 - t1 * t2]
-    listed = ExhaustiveSummary(reported, [(0, None)] * len(reported))
+    listed = ExhaustiveSummary(reported)
 
     seq = params + [ref_parameter(i) for i in range(1, 3)]
     live_gens = evaluate_summary(summ, params)
@@ -247,9 +248,59 @@ def test_burgers_literal_reported_summary(burgers):
 
 def test_normalizer_is_highest_ranked_signal_monomial(henon):
     _, iop, _ = _pipeline(henon)
-    mono, coeff = iop.normalizers[0]
+    # extract_summary normalises by the first of the ranked groups
+    mono, coeff = _ranked_groups(iop.equations[0])[0]
     assert [(v.display(True), e) for v, e in mono] == [("y[k+2]", 1)]
     assert poly_text(coeff) == "-1"
+
+
+def _two_pass_summary(iop):
+    """Oracle: normalisers picked in a pass of their own, ranked ascending
+    and taken last, then a second collect-and-sort per equation."""
+    def rank(m):
+        out_order = max((v.order for v, _ in m if v.kind is Kind.SIGNAL
+                         and v.role is Role.OUTPUT), default=-1)
+        return (out_order, mono_key(m))
+
+    def signal_groups(psi):
+        return collect(psi, {v for v in psi.indeterminates()
+                             if v.kind is Kind.SIGNAL})
+
+    normalizers = [sorted(signal_groups(psi).items(),
+                          key=lambda t: rank(t[0]))[-1][1]
+                   for psi in iop.equations]
+    elements, seen = [], set()
+    for psi, norm in zip(iop.equations, normalizers):
+        groups = signal_groups(psi)
+        for m in sorted(groups, key=rank, reverse=True):
+            ratio = Expression(groups[m]) / Expression(norm)
+            if not ratio.indeterminates():
+                continue
+            num, _ = normalize_primitive(ratio.num)
+            rep = Expression(num, ratio.den)
+            if rep not in seen:
+                seen.add(rep)
+                elements.append(rep)
+    return elements
+
+
+def test_summary_matches_two_pass_normalizer_oracle(goldens):
+    compared = 0
+    for model in goldens.values():
+        for w in (1, 2, 3):
+            s = build_stack(model, w)
+            ns = left_nullspace(s.O)
+            if not ns.rows:
+                continue
+            iop = form_iop(s, ns, discrete=model.discrete)
+            want = _two_pass_summary(iop)
+            if not want:
+                with pytest.raises(NoParameterDependence):
+                    extract_summary(iop)
+                continue
+            assert extract_summary(iop).elements == want
+            compared += 1
+    assert compared == 10
 
 
 def test_scale_invariance_theta_rational_times_monomial(product_coupling,

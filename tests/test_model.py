@@ -163,6 +163,36 @@ def test_rank_deficient_c_warning():
     assert any(d.code == "rank-deficient-C" for d in m.warnings)
 
 
+def test_rank_deficient_c_warning_is_exact():
+    # rows u*(1, v) and v*(1, v): rank 1 over the rational functions
+    m = parse_model("time: continuous\nstates: x1, x2\ninputs: u, v\n"
+                    "outputs: y1, y2\nparams: theta1\n"
+                    "A: [theta1, 0; 0, 1]\nB: [1, 0; 0, 1]\n"
+                    "C: [u, u*v; v, v^2]")
+    assert [d.code for d in m.warnings] == ["rank-deficient-C"]
+
+
+def test_c_with_a_pole_has_full_rank():
+    m = parse_model("time: continuous\nstates: x1, x2\ninputs: u\n"
+                    "params: theta1\nA: [theta1, 0; 0, 1]\nB: [1; 0]\n"
+                    "C: [1/(u-3), 0]")
+    assert m.warnings == ()
+
+
+def test_parse_model_draws_no_random_numbers(monkeypatch):
+    import random
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_model drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    m = parse_model("time: continuous\nstates: x1, x2\ninputs: u, v\n"
+                    "outputs: y1, y2\nparams: theta1\n"
+                    "A: [theta1, 0; 0, 1]\nB: [1, 0; 0, 1]\n"
+                    "C: [u, v; v, u]")
+    assert m.warnings == ()
+
+
 def test_clean_model_has_no_warnings(product_coupling):
     assert product_coupling.warnings == ()
 

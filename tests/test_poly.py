@@ -1,5 +1,6 @@
 """Polynomial ring: arithmetic laws, calculus maps, gcd, canonical forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from lpvident.errors import (ExactDivisionError, UnboundIndeterminate,
 from lpvident.indets import (Indeterminate, Role, parameter, ref_parameter,
                              signal)
 from lpvident.poly import _mono as mono_of
+from lpvident.expr import Expression
 from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
                            mono_key, mono_mul, normalize_primitive, poly_gcd,
-                           poly_lcm, poly_text)
+                           poly_lcm, poly_text, rational_content)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -515,3 +517,83 @@ def test_poly_text_canonical_forms():
     assert poly_text(k2, discrete=True) == "-theta1*y[k]^2 + y[k+2]"
     assert poly_text(P()) == "0"
     assert poly_text(P.const(Fraction(-3, 2))) == "-3/2"
+
+
+def _oracle_content(p):
+    """The signed content as a numerator-gcd / denominator-lcm loop."""
+    if not p.terms:
+        return Fraction(0)
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    cont = Fraction(num, den)
+    return -cont if p.leading()[1] < 0 else cont
+
+
+def _oracle_rat_gcd_fold(polys):
+    """The joint content as a pairwise rational-gcd fold of contents."""
+    def rat_gcd(a, b):
+        if a == 0:
+            return abs(b)
+        if b == 0:
+            return abs(a)
+        return Fraction(math.gcd(a.numerator * b.denominator,
+                                 b.numerator * a.denominator),
+                        a.denominator * b.denominator)
+    c = Fraction(0)
+    for p in polys:
+        c = rat_gcd(c, _oracle_content(p))
+    return c
+
+
+def _oracle_normalize_row(row):
+    """Null-space row normalisation with its own joint-content loop."""
+    content = P()
+    for p in sorted((p for p in row if not p.is_zero()),
+                    key=lambda p: len(p.terms)):
+        content = poly_gcd(content, p)
+        if content == P.const(1):
+            break
+    if not content.is_zero() and content != P.const(1):
+        row = [exact_div(p, content) if not p.is_zero() else p for p in row]
+    nums, dens = 0, 1
+    for p in row:
+        for coef in p.terms.values():
+            nums = math.gcd(nums, coef.numerator)
+            dens = dens * coef.denominator // math.gcd(dens, coef.denominator)
+    if nums:
+        scale = Fraction(dens, nums)
+        if _oracle_content(next(p for p in row if not p.is_zero())) < 0:
+            scale = -scale
+        row = [p.scale(scale) for p in row]
+    return [Expression(p) for p in row]
+
+
+def test_rational_content_matches_the_three_loops_it_replaces():
+    from lpvident.elimination import _normalize_row
+    rng = random.Random(31)
+    assert rational_content([]) == 0
+    assert rational_content([P(), P()]) == 0
+    nontrivial = 0
+    for _ in range(300):
+        polys = [rand_poly(rng, [TH1, U, Y], max_terms=rng.randint(0, 4))
+                 for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            # a shared fraction makes the content nontrivial
+            k = Fraction(rng.choice((-6, -2, 3, 10)), rng.choice((1, 5, 7)))
+            polys = [p.scale(k) for p in polys]
+        c = rational_content(polys)
+        assert c >= 0
+        assert c == _oracle_rat_gcd_fold(polys)
+        nontrivial += c not in (0, 1)
+        for p in polys:
+            assert p.content() == _oracle_content(p)
+            if not p.is_zero():
+                assert (p.content() < 0) == (p.leading()[1] < 0)
+        if rng.random() < 0.5:
+            # a common factor makes the gcd polynomial nontrivial too
+            f = pv(TH2) - Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            polys = [p * f for p in polys]
+        assert _normalize_row(polys) == _oracle_normalize_row(polys)
+    assert nontrivial > 50

@@ -24,7 +24,7 @@ def _iop(model, w=2):
 
 def _corrupt(iop):
     bumped = [iop.equations[0] + Polynomial.const(1)] + iop.equations[1:]
-    return IopSet(bumped, iop.order, iop.normalizers, iop.discrete)
+    return IopSet(bumped, iop.order, iop.discrete)
 
 
 def test_output_closure_continuous(product_coupling):
@@ -112,7 +112,7 @@ def test_order_w_closure_matches_smallest_closure(goldens, henon):
         # the first equation gains y^(top), whose residual is not zero
         y_top = Polynomial.var(signal(model.output_names[0], Role.OUTPUT, top))
         bumped = IopSet([iop.equations[0] + y_top] + iop.equations[1:],
-                        iop.order, iop.normalizers, iop.discrete)
+                        iop.order, iop.discrete)
         for eqs in (iop, bumped):
             want = backsubstitute_check(small, eqs)
             got = backsubstitute_check(full, eqs)
