@@ -26,7 +26,7 @@ from .iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
 from .model import LpvModel, ParseDiagnostic, parse_model, print_model
 from .poly import (Polynomial, collect, exact_div, normalize_primitive,
                    poly_gcd, poly_lcm, poly_text)
-from .stacking import StackedSystem, binom_schedule, build_stack
+from .stacking import StackedSystem, build_stack
 from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
                      discrete_trajectory_check, output_closure,
                      stack_substitution_check)
@@ -44,7 +44,7 @@ __all__ = [
     "ParamStatus", "ParseDiagnostic", "Polynomial", "Role", "StackedSystem",
     "StateInMatrixEntry", "StateNotEliminated", "TrajectoryReport",
     "UNDETERMINED", "UnboundIndeterminate", "UnknownSymbol", "Verdict",
-    "backsubstitute_check", "binom_schedule", "build_stack", "classify",
+    "backsubstitute_check", "build_stack", "classify",
     "clear_denominators", "collect", "discrete_trajectory_check", "dot",
     "draw_theta_ref", "evaluate_summary", "exact_div", "expr_text",
     "extract_summary", "form_iop", "groebner_basis", "jacobian_local_test",

@@ -19,7 +19,8 @@ power), parentheses and rational literals.  Matrices may span lines until
 the closing bracket.  Missing `states:`/`outputs:` sections are auto-named
 x1../y1.. from the A/C row counts, and a missing `params:` section infers
 names of the form theta<digits> used in entries; any other undeclared name
-is an error.
+is an error.  Outputs may appear in A and B entries (output-scheduled
+quasi-LPV models), not in C or D.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .elimination import left_nullspace
-from .errors import (DimensionMismatch, ModelSyntaxError,
+from .errors import (DimensionMismatch, ModelError, ModelSyntaxError,
                      NotAffineInParameters, StateInMatrixEntry,
                      UnknownSymbol)
 from .indets import Kind, Role, parameter, signal
@@ -440,6 +441,10 @@ def validate_model(model: LpvModel) -> list:
                         f"differentiated signal")
                 if any(v.kind is Kind.SIGNAL and v.role is Role.OUTPUT
                        for v in vars_):
+                    if key in ("C", "D"):
+                        raise ModelError(
+                            f"output appears in {key}[{i+1},{j+1}]; outputs "
+                            f"may appear in A and B, not in C or D")
                     saw_output = True
     warnings = []
     if saw_output:

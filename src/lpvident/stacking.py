@@ -1,17 +1,19 @@
 """Stacked derivative (continuous) or shift (discrete) systems.
 
-For order w the stacked relation is  Y0 + G U = O X  with
+For order w the stacked relation is  Y0 + G U = O X  over the order-major
+blocks X = (x^(0) .. x^(w)) and U = (u^(0) .. u^(w)).  Each row is one of
+the model relations
 
-    O = [ CC ; AA ]        ((w+1)p + w n rows, (w+1)n columns)
-    G = [ -DD ; BB ]       (same row count, (w+1)m columns)
-    Y0 = (y^(0) .. y^(w), 0 .. 0)
+    output:  C x + D u = y          as the row pair (C | 0.., -D | 0..)
+    state:   x^(1) - A x = B u      as the row pair (-A | I | 0.., B | 0..)
 
-Continuous time follows the Leibniz rule: block (i, j) of CC is
-binom(i, j) C^(i-j) for j <= i (derivatives of the matrix entries), and AA
-carries -binom(i, j) A^(i-j) plus the identity on block column i+1.
-Discrete time replaces derivatives by shifts and has no binomial weights:
-CC and DD are block-diagonal in C_{k+i}, D_{k+i}, and AA is block
-bidiagonal (-A_{k+i}, I).  Output rows come first, then state rows.
+stepped i times.  A step differentiates or shifts the relation: a shifted
+coefficient moves one block right; a differentiated one (product rule)
+leaves its derivative on its block and moves itself one block right, which
+yields the Leibniz weights.  Output block i is the output relation stepped
+i times (i = 0..w), state block i the state relation stepped i times
+(i = 0..w-1); each block is stepped once from the block before it.  Output
+rows come first, then state rows, so Y0 = (y^(0) .. y^(w), 0 .. 0).
 """
 from __future__ import annotations
 
@@ -20,16 +22,6 @@ from dataclasses import dataclass
 from .errors import OrderTooLargeForBudget
 from .expr import E_ZERO, E_ONE, Expression, dot
 from .model import LpvModel
-from .poly import Polynomial
-
-
-def binom_schedule(w: int) -> list:
-    """Rows 0..w of Pascal's triangle."""
-    rows = [[1]]
-    for _ in range(w):
-        prev = rows[-1]
-        rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return rows
 
 
 @dataclass
@@ -56,72 +48,49 @@ class StackedSystem:
                 for y, g_row in zip(self.Y0, self.G)]
 
 
-def _mat_map(mat, f):
-    return [[f(e) for e in row] for row in mat]
-
-
-def _zeros(rows, cols):
-    return [[E_ZERO for _ in range(cols)] for _ in range(rows)]
+def _step(row: list, block: int, discrete: bool) -> list:
+    """The derivative or shift of a row of coefficients on blocks of
+    `block` columns; the last block of row must be zero."""
+    moved = [E_ZERO] * block + row[:len(row) - block]
+    if discrete:
+        return [e.shift() if e else e for e in moved]
+    steps = []
+    for e, f in zip(row, moved):
+        d = e.differentiate() if e else e
+        # most coefficients are zero, and a sum with zero still normalises
+        steps.append(d + f if d and f else d or f)
+    return steps
 
 
 def build_stack(model: LpvModel, w: int, size_cap: int = 64) -> StackedSystem:
     """Stack the model equations and their first w derivatives or shifts."""
     if w < 0:
         raise ValueError("order must be nonnegative")
-    n, m, p = model.n, model.m, model.p
+    n, m, discrete = model.n, model.m, model.discrete
     if (w + 1) * n > size_cap:
         raise OrderTooLargeForBudget(
             f"stack width {(w + 1) * n} exceeds size budget {size_cap}")
 
-    # matrix sequences: index i holds the i-th derivative / shift
-    if model.discrete:
-        step = lambda mat: _mat_map(mat, lambda e: e.shift())
-    else:
-        step = lambda mat: _mat_map(mat, lambda e: e.differentiate())
-    seqs = {}
-    for key, mat in (("A", model.A), ("B", model.B), ("C", model.C), ("D", model.D)):
-        seq = [_mat_map(mat, lambda e: e)]
-        for _ in range(w):
-            seq.append(step(seq[-1]))
-        seqs[key] = seq
+    def pad(row, block):
+        return [*row] + [E_ZERO] * ((w + 1) * block - len(row))
 
-    pas = binom_schedule(w)
-    out_rows = (w + 1) * p
-    st_rows = w * n
-    O = _zeros(out_rows + st_rows, (w + 1) * n)
-    G = _zeros(out_rows + st_rows, (w + 1) * m)
-
-    def put(dst, r0, c0, block, scale=1, negate=False):
-        for i, row in enumerate(block):
-            for j, e in enumerate(row):
-                if e.is_zero():
-                    continue
-                v = e * scale
-                dst[r0 + i][c0 + j] = -v if negate else v
-
-    for i in range(w + 1):
-        if model.discrete:
-            put(O, i * p, i * n, seqs["C"][i])
-            put(G, i * p, i * m, seqs["D"][i], negate=True)
-        else:
-            for j in range(i + 1):
-                put(O, i * p, j * n, seqs["C"][i - j], scale=pas[i][j])
-                put(G, i * p, j * m, seqs["D"][i - j], scale=pas[i][j], negate=True)
-    for i in range(w):
-        r0 = out_rows + i * n
-        if model.discrete:
-            put(O, r0, i * n, seqs["A"][i], negate=True)
-            put(G, r0, i * m, seqs["B"][i])
-        else:
-            for j in range(i + 1):
-                put(O, r0, j * n, seqs["A"][i - j], scale=pas[i][j], negate=True)
-                put(G, r0, j * m, seqs["B"][i - j], scale=pas[i][j])
-        for k in range(n):
-            O[r0 + k][(i + 1) * n + k] = E_ONE
+    output = [(pad(c_row, n), pad([-e for e in d_row], m))
+              for c_row, d_row in zip(model.C, model.D)]
+    state = [(pad([-e for e in a_row] + [E_ZERO] * k + [E_ONE], n),
+              pad(b_row, m))
+             for k, (a_row, b_row) in enumerate(zip(model.A, model.B))]
+    rows = []
+    for relations, blocks in ((output, w + 1), (state, w)):
+        for i in range(blocks):
+            if i:
+                relations = [(_step(o, n, discrete), _step(g, m, discrete))
+                             for o, g in relations]
+            rows += relations
 
     X = [s.with_order(i) for i in range(w + 1) for s in model.states()]
     U = [s.with_order(i) for i in range(w + 1) for s in model.inputs()]
-    Y0 = [Expression(Polynomial.var(s.with_order(i)))
+    Y0 = [Expression.var(s.with_order(i))
           for i in range(w + 1) for s in model.outputs()]
-    Y0 += [E_ZERO] * st_rows
-    return StackedSystem(w, O, G, Y0, X, U)
+    Y0 += [E_ZERO] * (w * n)
+    return StackedSystem(w, [o for o, _ in rows], [g for _, g in rows],
+                         Y0, X, U)

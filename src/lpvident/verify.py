@@ -3,12 +3,16 @@
 Back-substitution rebuilds each output derivative or shift directly from
 the state equations and substitutes it into the I-O-P equations; the result
 must cancel to exactly zero, which certifies state elimination without
-reusing any null-space computation.  The stack check substitutes the same
-closure into every row of the stacked system: one order-w closure, built
-once per verifier run, serves both symbolic checks, since the order-w
-closure holds every y^(j) and x^(j) with j <= w.  For discrete models a
-second, purely numeric oracle evaluates each equation on independent
-(w+1)-step exact rational trajectory segments from fresh random states.
+reusing any null-space computation.  The closure first replaces outputs in
+A and B by C x + D u (model validation keeps outputs out of C and D); in
+discrete time it then shifts those matrices once per order and carries
+them forward, in continuous time it takes total derivatives.  The stack
+check substitutes the same closure into every row of the stacked system:
+one order-w closure, built once per verifier run, serves both symbolic
+checks, since the order-w closure holds every y^(j) and x^(j) with j <= w.
+For discrete models a second, purely numeric oracle evaluates each
+equation on independent (w+1)-step exact rational trajectory segments from
+fresh random states.
 """
 from __future__ import annotations
 
@@ -16,9 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DenominatorVanishes, LpvIdentError
+from .errors import DenominatorVanishes
 from .expr import Expression, dot
-from .indets import Kind, Role
 from .iop import IopSet
 from .model import LpvModel
 from .stacking import StackedSystem
@@ -31,10 +34,6 @@ def _affine(M, N, xs: list, us: list) -> list:
 
 def _output_free_matrices(model: LpvModel) -> dict:
     """Replace order-0 outputs in entries by C x + D u expressions."""
-    if any(v.kind is Kind.SIGNAL and v.role is Role.OUTPUT
-           for row in model.C + model.D for e in row for v in e.indeterminates()):
-        raise LpvIdentError(
-            "outputs inside C or D entries are not supported by the verifier")
     y0 = _affine(model.C, model.D, [Expression.var(s) for s in model.states()],
                  [Expression.var(u) for u in model.inputs()])
     ymap = dict(zip(model.outputs(), y0))
@@ -53,17 +52,20 @@ def output_closure(model: LpvModel, max_order: int) -> dict:
     closure: dict = {}
 
     if model.discrete:
+        # mats holds the matrices shifted j times, carried from order to order
         for j in range(max_order + 1):
             # at j = 0 the order-0 states already are the closure variables
             bind = {s.with_order(j): x for s, x in zip(states, Xj)} if j else {}
             closure.update(bind)
             us = [Expression.var(u.with_order(j)) for u in inputs]
-            Yj = _affine(_shifted(mats["C"], j, bind),
-                         _shifted(mats["D"], j, bind), Xj, us)
+            Yj = _affine(_subst_matrix(mats["C"], bind),
+                         _subst_matrix(mats["D"], bind), Xj, us)
             closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
             if j < max_order:
-                Xj = _affine(_shifted(mats["A"], j, bind),
-                             _shifted(mats["B"], j, bind), Xj, us)
+                Xj = _affine(_subst_matrix(mats["A"], bind),
+                             _subst_matrix(mats["B"], bind), Xj, us)
+                mats = {k: tuple(tuple(e.shift() for e in row) for row in mat)
+                        for k, mat in mats.items()}
         return closure
 
     # continuous: total derivatives over xdot = A x + B u
@@ -82,18 +84,6 @@ def output_closure(model: LpvModel, max_order: int) -> dict:
             closure.update((s.with_order(j), x) for s, x in zip(states, Xj))
         closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
     return closure
-
-
-def _shifted(mat, times: int, bind: dict):
-    """Entries shifted `times` times, then substituted from bind."""
-    return _subst_matrix(tuple(tuple(_nshift(e, times) for e in row)
-                               for row in mat), bind)
-
-
-def _nshift(e: Expression, times: int) -> Expression:
-    for _ in range(times):
-        e = e.shift()
-    return e
 
 
 def _subst(e: Expression, bind: dict) -> Expression:

@@ -23,6 +23,54 @@ def model_path(name: str) -> Path:
     return _MODELS / f"{name}.lpv"
 
 
+# discrete Chain(4): tridiagonal A with diagonal theta_k*u, super-diagonal
+# theta5..theta7 and sub-diagonal 1, B = e1, C = e1^T; every parameter is
+# Global
+CHAIN4_DISCRETE = """time: discrete
+states: x1, x2, x3, x4
+inputs: u
+outputs: y
+params: theta1, theta2, theta3, theta4, theta5, theta6, theta7
+A: [theta1*u, theta5, 0, 0; 1, theta2*u, theta6, 0; 0, 1, theta3*u, theta7; \
+0, 0, 1, theta4*u]
+B: [1; 0; 0; 0]
+C: [1, 0, 0, 0]
+"""
+
+# entries that hold inputs, outputs (in A and B only) and scheduling
+# signals, rational entries and a nonzero D; "{time}" takes either domain
+SIGNAL_MODEL_TEXTS = (
+    """time: {time}
+states: x1, x2
+inputs: u, v
+outputs: y1, y2
+scheduling: r
+params: theta1, theta2, theta3
+A: [theta1/(u-2), r*y1; y2 + theta2, theta3*v/(r+1)]
+B: [u, theta1; y1/(1+r^2), 1]
+C: [u, v; 1, r/(v-3)]
+D: [v, 0; theta2, u^2]
+""",
+    """time: {time}
+states: x1
+inputs: u
+outputs: y
+scheduling: r
+params: theta1, theta2
+A: [theta1*y/(r-1) + theta2]
+B: [u*r]
+C: [1/(u+2)]
+D: [u - theta2]
+""",
+)
+
+
+def signal_models() -> list:
+    """SIGNAL_MODEL_TEXTS in both time domains."""
+    return [parse_model(text.format(time=time)) for text in SIGNAL_MODEL_TEXTS
+            for time in ("continuous", "discrete")]
+
+
 def is_groebner(basis: list) -> bool:
     """Buchberger's criterion: every S-polynomial of basis members reduces
     to zero.  The oracle the Groebner tests check bases against."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lpvident
-from conftest import model_path
+from conftest import CHAIN4_DISCRETE, model_path
 from lpvident.cli import AnalysisConfig, _run_verifier, main
 from lpvident.elimination import left_nullspace
 from lpvident.expr import dot, expr_text
@@ -238,21 +238,6 @@ def test_sweep_waits_for_every_output(tmp_path, capsys, command):
         assert report["verdict"]["achieved_at_order"] == 2
 
 
-# discrete Chain(4): tridiagonal A with diagonal theta_k*u, super-diagonal
-# theta5..theta7 and sub-diagonal 1, B = e1, C = e1^T; every parameter is
-# Global
-CHAIN4_DISCRETE = """time: discrete
-states: x1, x2, x3, x4
-inputs: u
-outputs: y
-params: theta1, theta2, theta3, theta4, theta5, theta6, theta7
-A: [theta1*u, theta5, 0, 0; 1, theta2*u, theta6, 0; 0, 1, theta3*u, theta7; \
-0, 0, 1, theta4*u]
-B: [1; 0; 0; 0]
-C: [1, 0, 0, 0]
-"""
-
-
 def test_chain4_needs_one_basis_per_trial(tmp_path, capsys, monkeypatch):
     # lex(params) fixes all seven parameters, so no other basis is built
     classify_mod = importlib.import_module("lpvident.classify")
@@ -349,6 +334,12 @@ PINNED = [
     ("shared_gain", ("local",), 0, "d464edc53fdc20ca", _EMPTY),
     ("shared_gain", ("verify",), 0, "24e2acf64bb5cc78", _EMPTY),
     ("shared_gain", ("iop", "--order", "2"), 0, "66071ebd581d7fe0", _EMPTY),
+    # higher stack orders: several derivative or shift steps per block
+    ("air_handling_unit", ("iop", "--order", "4"), 0, "3b252dbd53284d09",
+     _EMPTY),
+    ("henon", ("iop", "--order", "4"), 0, "3af72c68b05c8154", _EMPTY),
+    ("product_coupling", ("iop", "--order", "5"), 0, "e5d66325938972cb",
+     _EMPTY),
     # no covering order: a verifier block with a notice, exit 1
     ("product_coupling", ("verify", "--max-order", "1"), 1,
      "551fe41a661eb205", _EMPTY),
@@ -410,11 +401,13 @@ def test_verify_rejects_output_inside_c(capsys, tmp_path):
     path = tmp_path / "y_in_c.lpv"
     path.write_text("time: discrete\nstates: x1\noutputs: y\n"
                     "params: theta1\nA: [theta1]\nC: [y]\n", encoding="utf-8")
-    code, out, err = _run(capsys, "verify", path)
-    assert code == 3
-    assert out == ""
-    assert "outputs inside C or D entries are not supported by the verifier" \
-        in err
+    # rejected by model validation, before any stack is built
+    for argv in (("verify",), ("analyze",), ("iop", "--order", "1")):
+        code, out, err = _run(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: output appears in C[1,1]; outputs may appear "
+                       "in A and B, not in C or D\n")
 
 
 def test_verifier_runs_a_trajectory_window_at_any_order():

@@ -1,23 +1,84 @@
 """Stacked derivative / shift systems."""
 
+from math import comb
+
 import pytest
 
-from conftest import random_models
+from conftest import (CHAIN4_DISCRETE, GOLDEN_NAMES, load_model,
+                      random_models, signal_models)
 from lpvident.model import parse_model
 from lpvident.errors import OrderTooLargeForBudget
-from lpvident.expr import E_ONE, E_ZERO, expr_text
+from lpvident.expr import E_ONE, E_ZERO, Expression, expr_text
 from lpvident.indets import Kind, Role
-from lpvident.stacking import binom_schedule, build_stack
+from lpvident.stacking import build_stack
 
 
 def _texts(row, discrete=False):
     return [expr_text(e, discrete=discrete) for e in row]
 
 
-def test_binom_schedule():
-    assert binom_schedule(0) == [[1]]
-    assert binom_schedule(4) == [[1], [1, 1], [1, 2, 1],
-                                 [1, 3, 3, 1], [1, 4, 6, 4, 1]]
+def _block_stack(model, w):
+    """Reference (O, G, Y0) written out block by block.
+
+    Continuous: output block (i, j) is binom(i, j) C^(i-j) with -binom(i, j)
+    D^(i-j) on the forced side, state block (i, j) is -binom(i, j) A^(i-j)
+    with binom(i, j) B^(i-j), plus the identity on block column i+1.
+    Discrete: C_{k+i}, -D_{k+i} on block i, and -A_{k+i}, B_{k+i} on block i
+    with the identity on block i+1.
+    """
+    n, m, p = model.n, model.m, model.p
+
+    def seq(mat):
+        out = [[list(row) for row in mat]]
+        for _ in range(w):
+            out.append([[e.shift() if model.discrete else e.differentiate()
+                         for e in row] for row in out[-1]])
+        return out
+
+    A, B, C, D = (seq(mat) for mat in (model.A, model.B, model.C, model.D))
+    rows = (w + 1) * p + w * n
+    O = [[E_ZERO] * ((w + 1) * n) for _ in range(rows)]
+    G = [[E_ZERO] * ((w + 1) * m) for _ in range(rows)]
+
+    def put(dst, r0, c0, block, scale):
+        for i, row in enumerate(block):
+            for j, e in enumerate(row):
+                dst[r0 + i][c0 + j] = e * scale
+
+    # (block column, derivative or shift count, weight) of block row i
+    if model.discrete:
+        terms = lambda i: [(i, i, 1)]
+    else:
+        terms = lambda i: [(j, i - j, comb(i, j)) for j in range(i + 1)]
+    for i in range(w + 1):
+        for j, k, scale in terms(i):
+            put(O, i * p, j * n, C[k], scale)
+            put(G, i * p, j * m, D[k], -scale)
+    for i in range(w):
+        r0 = (w + 1) * p + i * n
+        for j, k, scale in terms(i):
+            put(O, r0, j * n, A[k], -scale)
+            put(G, r0, j * m, B[k], scale)
+        for k in range(n):
+            O[r0 + k][(i + 1) * n + k] = E_ONE
+    Y0 = [Expression.var(s.with_order(i))
+          for i in range(w + 1) for s in model.outputs()]
+    return O, G, Y0 + [E_ZERO] * (w * n)
+
+
+_ORACLE_MODELS = ([(name, load_model(name)) for name in GOLDEN_NAMES]
+                  + [("chain4_discrete", parse_model(CHAIN4_DISCRETE))]
+                  + [(f"signals{i // 2}_{m.domain}", m)
+                     for i, m in enumerate(signal_models())])
+
+
+@pytest.mark.parametrize("model", [m for _, m in _ORACLE_MODELS],
+                         ids=[name for name, _ in _ORACLE_MODELS])
+def test_stepped_relations_match_block_layout(model):
+    for w in range(5):
+        s = build_stack(model, w)
+        O, G, Y0 = _block_stack(model, w)
+        assert (s.O, s.G, s.Y0) == (O, G, Y0), f"order {w}"
 
 
 def test_single_state_continuous():

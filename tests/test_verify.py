@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CHAIN4_DISCRETE, load_model, signal_models
+from lpvident import verify
 from lpvident.elimination import left_nullspace
-from lpvident.errors import LpvIdentError
-from lpvident.expr import expr_text
+from lpvident.errors import ModelError
+from lpvident.expr import Expression, expr_text
 from lpvident.indets import Kind, Role, signal
 from lpvident.iop import IopSet, form_iop
 from lpvident.model import parse_model
@@ -52,6 +54,54 @@ def test_output_closure_discrete(henon):
     # second shift re-enters the dynamics through the premise output
     two = expr_text(cl[y.with_order(2)], d)
     assert "theta1^3*x1[k]^4" in two and "u[k+1]" in two
+
+
+def _nshift_closure(model, max_order):
+    """Reference discrete closure: at order j each output-free matrix is
+    shifted j times from the model's own, then its order-j states bound."""
+    mats = verify._output_free_matrices(model)
+    xj = [Expression.var(s) for s in model.states()]
+    closure = {}
+    for j in range(max_order + 1):
+        bind = ({s.with_order(j): x for s, x in zip(model.states(), xj)}
+                if j else {})
+        closure.update(bind)
+
+        def shifted(mat):
+            out = []
+            for row in mat:
+                out.append([])
+                for e in row:
+                    for _ in range(j):
+                        e = e.shift()
+                    out[-1].append(verify._subst(e, bind))
+            return out
+
+        us = [Expression.var(u.with_order(j)) for u in model.inputs()]
+        closure.update(zip([y.with_order(j) for y in model.outputs()],
+                           verify._affine(shifted(mats["C"]),
+                                          shifted(mats["D"]), xj, us)))
+        if j < max_order:
+            xj = verify._affine(shifted(mats["A"]), shifted(mats["B"]), xj, us)
+    return closure
+
+
+# the order each discrete closure is compared up to: output-scheduled
+# rational entries grow too fast for higher orders
+_SIGNALS = [m for m in signal_models() if m.discrete]
+_CLOSURE_CASES = [("henon", load_model("henon"), 4),
+                  ("burgers", load_model("burgers_discretized"), 4),
+                  ("chain4_discrete", parse_model(CHAIN4_DISCRETE), 4),
+                  ("signals0_discrete", _SIGNALS[0], 1),
+                  ("signals1_discrete", _SIGNALS[1], 2)]
+
+
+@pytest.mark.parametrize("model,top", [c[1:] for c in _CLOSURE_CASES],
+                         ids=[c[0] for c in _CLOSURE_CASES])
+def test_carried_shifts_match_repeated_shifts(model, top):
+    for w in range(top + 1):
+        assert output_closure(model, w) == _nshift_closure(model, w), \
+            f"order {w}"
 
 
 def test_closure_variables_are_order_zero(goldens):
@@ -187,7 +237,11 @@ def test_trajectory_check_continuous_rejected(product_coupling):
 
 
 def test_output_inside_c_rejected():
-    m = parse_model("time: discrete\nstates: x1\noutputs: y\n"
+    # outputs in C or D fail model validation, so no closure meets them
+    with pytest.raises(ModelError, match=r"output appears in C\[1,1\]"):
+        parse_model("time: discrete\nstates: x1\noutputs: y\n"
                     "params: theta1\nA: [theta1]\nC: [y]")
-    with pytest.raises(LpvIdentError):
-        output_closure(m, 1)
+    with pytest.raises(ModelError, match=r"output appears in D\[1,2\]"):
+        parse_model("time: discrete\nstates: x1\ninputs: u, v\noutputs: y\n"
+                    "params: theta1\nA: [theta1]\nB: [1, 0]\nC: [1]\n"
+                    "D: [0, u*y]")
