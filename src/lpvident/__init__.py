@@ -24,8 +24,8 @@ from .groebner import (GPoly, GroebnerBasis, groebner_basis, reduce_gpoly,
 from .indets import Indeterminate, Kind, Role, parameter, ref_parameter, signal
 from .iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
 from .model import LpvModel, ParseDiagnostic, parse_model, print_model
-from .poly import (Polynomial, collect, exact_div, normalize_primitive,
-                   poly_gcd, poly_lcm, poly_text)
+from .poly import (Polynomial, collect, exact_div, poly_gcd, poly_lcm,
+                   poly_text)
 from .stacking import StackedSystem, build_stack
 from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
                      discrete_trajectory_check, output_closure,
@@ -48,7 +48,7 @@ __all__ = [
     "clear_denominators", "collect", "discrete_trajectory_check", "dot",
     "draw_theta_ref", "evaluate_summary", "exact_div", "expr_text",
     "extract_summary", "form_iop", "groebner_basis", "jacobian_local_test",
-    "left_nullspace", "normalize_primitive", "output_closure",
+    "left_nullspace", "output_closure",
     "parameter", "parse_model", "poly_gcd", "poly_lcm", "poly_text",
     "print_model", "rank_rational", "reduce_gpoly", "ref_parameter",
     "s_polynomial",

@@ -31,7 +31,7 @@ from .expr import Expression
 from .groebner import gpoly_text, groebner_basis, univariate_members
 from .indets import Indeterminate, ref_parameter
 from .iop import ExhaustiveSummary, IopSet
-from .poly import Polynomial, normalize_primitive
+from .poly import Polynomial
 
 GLOBAL = "Global"
 LOCAL = "Local"
@@ -115,8 +115,7 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
         g = e.num * d_ref - n_ref * e.den
         if g.is_zero():
             continue
-        g, _ = normalize_primitive(g)
-        gens.append(g)
+        gens.append(g.primitive())
     return gens
 
 

@@ -143,16 +143,7 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
 
 
 def _normalize_row(row: list) -> list:
-    # fold the gcd from the shortest entry up: a one-term entry makes it a
-    # monomial gcd at once, before the longest entries reach the PRS; the
-    # gcd is primitive with a positive leading coefficient, so the order
-    # does not change it
-    content = ZERO
-    for p in sorted((p for p in row if not p.is_zero()),
-                    key=lambda p: len(p.terms)):
-        content = poly_gcd(content, p)
-        if content == ONE:
-            break
+    content = poly_gcd(*row)
     if not content.is_zero() and content != ONE:
         row = [exact_div(p, content) if not p.is_zero() else p for p in row]
     # joint rational content: make the row integer, primitive, and give the

@@ -160,6 +160,8 @@ class Expression:
             if _expr(val).indeterminates() & bound:
                 raise ValueError("substitution values mention bound indeterminates")
         num = substitute_poly(self.num, bindings)
+        if self.den == ONE:
+            return num
         den = substitute_poly(self.den, bindings)
         if den.is_zero():
             raise DenominatorVanishes("denominator vanishes under substitution")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import (EmptyNullspace, NoParameterDependence, StateNotEliminated)
 from .indets import Kind, Role
 from .expr import Expression, dot
-from .poly import Monomial, Polynomial, collect, mono_key, normalize_primitive
+from .poly import Monomial, Polynomial, collect, mono_key
 
 from .stacking import StackedSystem
 
@@ -72,7 +72,7 @@ def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
         if acc.is_zero():
             continue
         # eliminate scale: clear the denominator entirely
-        psi, _ = normalize_primitive(acc.num)
+        psi = acc.num.primitive()
         bad = {v for v in psi.indeterminates()
                if v.kind is Kind.SIGNAL and v.role is Role.STATE}
         if bad:
@@ -110,5 +110,4 @@ def extract_summary(iop: IopSet) -> ExhaustiveSummary:
 
 def _canonical_element(ratio: Expression) -> Expression:
     """Scale-free representative: primitive numerator and denominator."""
-    num, _ = normalize_primitive(ratio.num)
-    return Expression(num, ratio.den)
+    return Expression(ratio.num.primitive(), ratio.den)

@@ -467,7 +467,8 @@ def print_model(model: LpvModel) -> str:
     if model.input_names:
         lines.append("inputs: " + ", ".join(model.input_names))
     lines.append("outputs: " + ", ".join(model.output_names))
-    lines.append("params: " + ", ".join(model.param_names))
+    if model.param_names:
+        lines.append("params: " + ", ".join(model.param_names))
     if model.sched_names:
         lines.append("scheduling: " + ", ".join(model.sched_names))
 

@@ -262,6 +262,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial; use Expression")
+        if n == 1:
+            return self
         out = Polynomial.const(1)
         base = self
         while n:
@@ -417,14 +419,6 @@ ZERO = Polynomial()
 ONE = Polynomial.const(1)
 
 
-def normalize_primitive(p: Polynomial) -> tuple:
-    """Split p = content * primitive with a positive leading coefficient."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no primitive part")
-    c = p.content()
-    return p.scale(1 / c), c
-
-
 def collect(p: Polynomial, vars_: set) -> dict:
     """Group terms by their sub-monomial over vars_.
 
@@ -527,15 +521,29 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
     return r
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic-free gcd over the rationals: primitive, positive leading coeff.
+def poly_gcd(*polys: Polynomial) -> Polynomial:
+    """Monic-free gcd over the rationals: primitive, positive leading coeff;
+    zero when every input is zero.
 
-    Constants are units, so any nonzero constant input gives gcd 1.
+    Constants are units, so any nonzero constant input gives gcd 1.  The
+    fold runs from the input with the fewest terms and stops at 1: a
+    one-term input makes it a monomial gcd at once, before the longest
+    inputs reach the PRS.  The gcd is normalised, so the order does not
+    change it.
     """
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
+    nonzero = sorted((p for p in polys if p.terms), key=lambda p: len(p.terms))
+    if len(nonzero) < 2:
+        return nonzero[0].primitive() if nonzero else ZERO
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = _gcd2(g, p)
+        if g == ONE:
+            break
+    return g
+
+
+def _gcd2(a: Polynomial, b: Polynomial) -> Polynomial:
+    """poly_gcd of two nonzero polynomials: dense recursive primitive PRS."""
     if a.is_constant() or b.is_constant():
         return ONE
     if len(b.terms) == 1:
@@ -552,14 +560,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         # gcd divides both contents wrt the larger main variable
         v = va if va.sort_key > vb.sort_key else vb
         small, big = (b, a) if v == va else (a, b)
-        cont = _coeff_gcd(_as_univariate(big, v))
-        return poly_gcd(cont, small)
+        return _gcd2(poly_gcd(*_as_univariate(big, v).values()), small)
     v = va
     ua, ub = _as_univariate(a, v), _as_univariate(b, v)
-    ca, cb = _coeff_gcd(ua), _coeff_gcd(ub)
+    ca, cb = poly_gcd(*ua.values()), poly_gcd(*ub.values())
     pa = _strip_rational({d: exact_div(c, ca) for d, c in ua.items()})
     pb = _strip_rational({d: exact_div(c, cb) for d, c in ub.items()})
-    gc = poly_gcd(ca, cb)
+    gc = _gcd2(ca, cb)
     if max(pa) < max(pb):
         pa, pb = pb, pa
     while True:
@@ -571,18 +578,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             g = ONE
             break
         r = _strip_rational(r)
-        rc = _coeff_gcd(r)
+        rc = poly_gcd(*r.values())
         pa, pb = pb, {d: exact_div(c, rc) for d, c in r.items()}
     return (gc * g).primitive()
-
-
-def _coeff_gcd(coeffs: dict) -> Polynomial:
-    g = ZERO
-    for c in coeffs.values():
-        g = poly_gcd(g, c)
-        if g == ONE:
-            break
-    return g
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

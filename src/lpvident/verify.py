@@ -3,16 +3,16 @@
 Back-substitution rebuilds each output derivative or shift directly from
 the state equations and substitutes it into the I-O-P equations; the result
 must cancel to exactly zero, which certifies state elimination without
-reusing any null-space computation.  The closure first replaces outputs in
-A and B by C x + D u (model validation keeps outputs out of C and D); in
-discrete time it then shifts those matrices once per order and carries
-them forward, in continuous time it takes total derivatives.  The stack
-check substitutes the same closure into every row of the stacked system:
-one order-w closure, built once per verifier run, serves both symbolic
-checks, since the order-w closure holds every y^(j) and x^(j) with j <= w.
-For discrete models a second, purely numeric oracle evaluates each
-equation on independent (w+1)-step exact rational trajectory segments from
-fresh random states.
+reusing any null-space computation.  The closure follows one rule in both
+time domains: at order j the relations y = C x + D u and x^(1) = A x + B u,
+differentiated or shifted j times, get the closure built so far
+substituted (x^(1..j) and the outputs y^(0..j) that A and B may hold),
+which gives y^(j) and x^(j+1).  The stack check substitutes the same
+closure into every row of the stacked system: one order-w closure, built
+once per verifier run, serves both symbolic checks, since the order-w
+closure holds every y^(j) and x^(j) with j <= w.  For discrete models a
+second, purely numeric oracle evaluates each equation on independent
+(w+1)-step exact rational trajectory segments from fresh random states.
 """
 from __future__ import annotations
 
@@ -32,57 +32,27 @@ def _affine(M, N, xs: list, us: list) -> list:
     return [dot(m_row + n_row, xs + us) for m_row, n_row in zip(M, N)]
 
 
-def _output_free_matrices(model: LpvModel) -> dict:
-    """Replace order-0 outputs in entries by C x + D u expressions."""
-    y0 = _affine(model.C, model.D, [Expression.var(s) for s in model.states()],
-                 [Expression.var(u) for u in model.inputs()])
-    ymap = dict(zip(model.outputs(), y0))
-    return {k: _subst_matrix(getattr(model, k), ymap) for k in "ABCD"}
-
-
 def output_closure(model: LpvModel, max_order: int) -> dict:
     """Map output indeterminates y^(j), j <= max_order, and state
     indeterminates x^(j), 1 <= j <= max_order, to expressions in states
     (order 0), inputs and scheduling signals only."""
-    mats = _output_free_matrices(model)
-    states = model.states()
-    inputs = model.inputs()
-    outputs = model.outputs()
-    Xj = [Expression.var(s) for s in states]
+    step = Expression.shift if model.discrete else Expression.differentiate
+    states, outputs = model.states(), model.outputs()
+    xs = [Expression.var(s) for s in states]
+    us = [Expression.var(u) for u in model.inputs()]
+    # y = C x + D u and x^(1) = A x + B u, stepped j times at order j
+    y_rel = _affine(model.C, model.D, xs, us)
+    x_rel = _affine(model.A, model.B, xs, us)
     closure: dict = {}
-
-    if model.discrete:
-        # mats holds the matrices shifted j times, carried from order to order
-        for j in range(max_order + 1):
-            # at j = 0 the order-0 states already are the closure variables
-            bind = {s.with_order(j): x for s, x in zip(states, Xj)} if j else {}
-            closure.update(bind)
-            us = [Expression.var(u.with_order(j)) for u in inputs]
-            Yj = _affine(_subst_matrix(mats["C"], bind),
-                         _subst_matrix(mats["D"], bind), Xj, us)
-            closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
-            if j < max_order:
-                Xj = _affine(_subst_matrix(mats["A"], bind),
-                             _subst_matrix(mats["B"], bind), Xj, us)
-                mats = {k: tuple(tuple(e.shift() for e in row) for row in mat)
-                        for k, mat in mats.items()}
-        return closure
-
-    # continuous: total derivatives over xdot = A x + B u
-    us = [Expression.var(u) for u in inputs]
-    xdot = _affine(mats["A"], mats["B"], Xj, us)
-    dot_bind = {s.with_order(1): d for s, d in zip(states, xdot)}
-
-    def total_d(e: Expression) -> Expression:
-        return _subst(e.differentiate(), dot_bind)
-
-    Yj = _affine(mats["C"], mats["D"], Xj, us)
     for j in range(max_order + 1):
-        if j:
-            Xj = [total_d(e) for e in Xj]
-            Yj = [total_d(e) for e in Yj]
-            closure.update((s.with_order(j), x) for s, x in zip(states, Xj))
-        closure.update((y.with_order(j), e) for y, e in zip(outputs, Yj))
+        ys = [_subst(e, closure) for e in y_rel]
+        closure.update(zip((y.with_order(j) for y in outputs), ys))
+        if j == max_order:
+            break
+        x_next = [_subst(e, closure) for e in x_rel]
+        closure.update(zip((s.with_order(j + 1) for s in states), x_next))
+        y_rel = [step(e) for e in y_rel]
+        x_rel = [step(e) for e in x_rel]
     return closure
 
 
@@ -90,12 +60,6 @@ def _subst(e: Expression, bind: dict) -> Expression:
     """Substitute the indeterminates of e that bind maps."""
     hit = {v: bind[v] for v in e.indeterminates() if v in bind}
     return e.substitute(hit) if hit else e
-
-
-def _subst_matrix(mat, bind: dict):
-    if not bind:
-        return mat
-    return tuple(tuple(_subst(e, bind) for e in row) for row in mat)
 
 
 @dataclass

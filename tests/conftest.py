@@ -37,6 +37,31 @@ B: [1; 0; 0; 0]
 C: [1, 0, 0, 0]
 """
 
+
+def chain_model(n: int, domain: str):
+    """Chain(n, domain): tridiagonal A with diagonal -theta_k*u - 1
+    (continuous) or theta_k*u (discrete), super-diagonal
+    theta_{n+1}..theta_{2n-1} and sub-diagonal 1, B = e1, C = e1^T."""
+    params = [f"theta{k}" for k in range(1, 2 * n)]
+    rows = []
+    for i in range(n):
+        row = ["0"] * n
+        row[i] = (f"-{params[i]}*u - 1" if domain == "continuous"
+                  else f"{params[i]}*u")
+        if i + 1 < n:
+            row[i + 1] = params[n + i]
+        if i:
+            row[i - 1] = "1"
+        rows.append(", ".join(row))
+    e1 = ["1"] + ["0"] * (n - 1)
+    return parse_model(
+        f"time: {domain}\n"
+        f"states: {', '.join(f'x{i}' for i in range(1, n + 1))}\n"
+        f"inputs: u\noutputs: y\nparams: {', '.join(params)}\n"
+        f"A: [{'; '.join(rows)}]\nB: [{'; '.join(e1)}]\n"
+        f"C: [{', '.join(e1)}]\n")
+
+
 # entries that hold inputs, outputs (in A and B only) and scheduling
 # signals, rational entries and a nonzero D; "{time}" takes either domain
 SIGNAL_MODEL_TEXTS = (

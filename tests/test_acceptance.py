@@ -22,7 +22,7 @@ from lpvident.groebner import (gpoly_from_polynomial, groebner_basis,
                                reduce_gpoly)
 from lpvident.indets import Role, signal
 from lpvident.iop import extract_summary, form_iop
-from lpvident.poly import Polynomial, normalize_primitive, poly_text
+from lpvident.poly import Polynomial, poly_text
 from lpvident.stacking import build_stack
 from lpvident.verify import (backsubstitute_check, discrete_trajectory_check,
                              output_closure)
@@ -37,8 +37,7 @@ def C(n):
 
 
 def _canon(p: Polynomial) -> str:
-    prim, _ = normalize_primitive(p)
-    return poly_text(prim)
+    return poly_text(p.primitive())
 
 
 def _canon_set(elements) -> set:

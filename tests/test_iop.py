@@ -12,8 +12,7 @@ from lpvident.indets import Kind, Role, signal
 from lpvident.iop import (ExhaustiveSummary, _ranked_groups, extract_summary,
                           form_iop)
 from lpvident.model import parse_model
-from lpvident.poly import (Polynomial, collect, mono_key, normalize_primitive,
-                           poly_text)
+from lpvident.poly import Polynomial, collect, mono_key, poly_text
 from lpvident.stacking import StackedSystem, build_stack
 
 
@@ -29,8 +28,7 @@ def _summary_texts(summary):
 
 
 def _canon(p: Polynomial) -> str:
-    prim, _ = normalize_primitive(p)
-    return poly_text(prim)
+    return poly_text(p.primitive())
 
 
 def _theta(model):
@@ -276,8 +274,7 @@ def _two_pass_summary(iop):
             ratio = Expression(groups[m]) / Expression(norm)
             if not ratio.indeterminates():
                 continue
-            num, _ = normalize_primitive(ratio.num)
-            rep = Expression(num, ratio.den)
+            rep = Expression(ratio.num.primitive(), ratio.den)
             if rep not in seen:
                 seen.add(rep)
                 elements.append(rep)

@@ -198,7 +198,11 @@ def test_clean_model_has_no_warnings(product_coupling):
 
 
 def test_print_model_round_trip(goldens):
-    for m in goldens.values():
+    # a model without parameters prints no "params:" line, which the parser
+    # would reject as an empty list
+    no_params = parse_model("time: continuous\nstates: x1\ninputs: u\n"
+                            "outputs: y\nA: [-1]\nB: [1]\nC: [1]")
+    for m in [*goldens.values(), no_params]:
         again = parse_model(print_model(m))
         assert again.domain == m.domain
         assert again.state_names == m.state_names

@@ -6,15 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from lpvident.errors import (ExactDivisionError, UnboundIndeterminate,
-                             ZeroPolynomialError)
+from lpvident.errors import ExactDivisionError, UnboundIndeterminate
 from lpvident.indets import (Indeterminate, Role, parameter, ref_parameter,
                              signal)
 from lpvident.poly import _mono as mono_of
 from lpvident.expr import Expression
 from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
-                           mono_key, mono_mul, normalize_primitive, poly_gcd,
-                           poly_lcm, poly_text, rational_content)
+                           mono_key, mono_mul, poly_gcd, poly_lcm, poly_text,
+                           rational_content)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -190,18 +189,17 @@ def test_evaluate_unbound_in_a_later_term():
         _evaluate_term_by_term(p, bind)
 
 
-def test_normalize_primitive_golden_values():
+def test_primitive_and_content_golden_values():
     p = P.const(-2) * pv(TH1) + P.const(4)
-    prim, content = normalize_primitive(p)
-    assert prim == pv(TH1) - P.const(2)
-    assert content == Fraction(-2)
+    assert p.primitive() == pv(TH1) - P.const(2)
+    assert p.content() == Fraction(-2)
 
-    prim, content = normalize_primitive(P.const(6) * pv(U, 2) * pv(Y))
-    assert prim == pv(U, 2) * pv(Y)
-    assert content == Fraction(6)
+    p = P.const(6) * pv(U, 2) * pv(Y)
+    assert p.primitive() == pv(U, 2) * pv(Y)
+    assert p.content() == Fraction(6)
 
 
-def test_normalize_primitive_scale_free_and_idempotent():
+def test_primitive_scale_free_and_idempotent():
     rng = random.Random(5)
     for _ in range(20):
         p = rand_poly(rng, [TH1, U, Y])
@@ -210,16 +208,14 @@ def test_normalize_primitive_scale_free_and_idempotent():
         c = Fraction(0)
         while c == 0:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        prim, _ = normalize_primitive(p)
-        prim_scaled, _ = normalize_primitive(p.scale(c))
-        assert prim == prim_scaled
-        again, content = normalize_primitive(prim)
-        assert again == prim and content == 1
+        prim = p.primitive()
+        assert prim == p.scale(c).primitive()
+        assert prim.primitive() == prim and prim.content() == 1
 
 
-def test_normalize_primitive_rejects_zero():
-    with pytest.raises(ZeroPolynomialError):
-        normalize_primitive(P())
+def test_primitive_of_zero_is_zero():
+    assert P().primitive() == P()
+    assert P().content() == 0
 
 
 def test_exact_division():
@@ -307,13 +303,28 @@ def test_poly_gcd_recovers_common_factor():
     g = poly_gcd(a, b)
     # defined up to a rational unit; our gcd is primitive with positive lead
     assert exact_div(a, g) is not None
-    prim_f, _ = normalize_primitive(f)
-    assert g == prim_f
+    assert g == f.primitive()
 
 
 def test_poly_gcd_of_coprime_is_constant():
     g = poly_gcd(pv(U) + P.const(1), pv(Y) + P.const(2))
     assert g.is_constant() and not g.is_zero()
+
+
+def test_poly_gcd_of_many_folds_in_any_order():
+    # the gcd of several polynomials is the pairwise gcd folded over them;
+    # zero inputs are skipped and the normalised result ignores the order
+    rng = random.Random(11)
+    f = pv(U) - P.const(2) * pv(TH1)
+    for _ in range(20):
+        polys = [f * rand_poly(rng, [TH1, U, Y]) for _ in range(3)] + [P()]
+        want = poly_gcd(poly_gcd(polys[0], polys[1]), polys[2])
+        assert exact_div(want, f) * f == want
+        for _ in range(3):
+            rng.shuffle(polys)
+            assert poly_gcd(*polys) == want
+    assert poly_gcd() == P() and poly_gcd(P(), P()) == P()
+    assert poly_gcd(P.const(-3) * pv(U)) == pv(U)
 
 
 def test_poly_gcd_with_a_monomial_takes_least_exponents():
@@ -351,9 +362,7 @@ def test_poly_lcm_product_relation():
     assert exact_div(lcm, a) is not None
     assert exact_div(lcm, b) is not None
     g = poly_gcd(a, b)
-    prim_ab, _ = normalize_primitive(a * b)
-    prim_lg, _ = normalize_primitive(lcm * g)
-    assert prim_ab == prim_lg
+    assert (a * b).primitive() == (lcm * g).primitive()
 
 
 def test_mono_key_matches_aligned_degrevlex():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CHAIN4_DISCRETE, load_model, signal_models
+from conftest import (CHAIN4_DISCRETE, chain_model, load_model,
+                      signal_models)
 from lpvident import verify
 from lpvident.elimination import left_nullspace
 from lpvident.errors import ModelError
@@ -56,10 +57,21 @@ def test_output_closure_discrete(henon):
     assert "theta1^3*x1[k]^4" in two and "u[k+1]" in two
 
 
+def _output_free(model):
+    """The model's A, B, C and D with each order-0 output in A and B
+    replaced by C x + D u; validation keeps outputs out of C and D."""
+    xs = [Expression.var(s) for s in model.states()]
+    us = [Expression.var(u) for u in model.inputs()]
+    ymap = dict(zip(model.outputs(), verify._affine(model.C, model.D, xs, us)))
+    mats = {k: [[verify._subst(e, ymap) for e in row]
+                for row in getattr(model, k)] for k in "AB"}
+    return {**mats, "C": model.C, "D": model.D}
+
+
 def _nshift_closure(model, max_order):
     """Reference discrete closure: at order j each output-free matrix is
     shifted j times from the model's own, then its order-j states bound."""
-    mats = verify._output_free_matrices(model)
+    mats = _output_free(model)
     xj = [Expression.var(s) for s in model.states()]
     closure = {}
     for j in range(max_order + 1):
@@ -86,14 +98,49 @@ def _nshift_closure(model, max_order):
     return closure
 
 
-# the order each discrete closure is compared up to: output-scheduled
-# rational entries grow too fast for higher orders
+def _total_derivative_closure(model, max_order):
+    """Reference continuous closure: y and x, with outputs in A and B
+    replaced, differentiated again and again, each derivative closed by
+    xdot = A x + B u."""
+    mats = _output_free(model)
+    xj = [Expression.var(s) for s in model.states()]
+    us = [Expression.var(u) for u in model.inputs()]
+    xdot = verify._affine(mats["A"], mats["B"], xj, us)
+    dot_bind = {s.with_order(1): d for s, d in zip(model.states(), xdot)}
+
+    def total_d(e):
+        return verify._subst(e.differentiate(), dot_bind)
+
+    yj = verify._affine(mats["C"], mats["D"], xj, us)
+    closure = {}
+    for j in range(max_order + 1):
+        if j:
+            xj = [total_d(e) for e in xj]
+            yj = [total_d(e) for e in yj]
+            closure.update((s.with_order(j), x)
+                           for s, x in zip(model.states(), xj))
+        closure.update((y.with_order(j), e)
+                       for y, e in zip(model.outputs(), yj))
+    return closure
+
+
+# the order each closure is compared up to: output-scheduled rational
+# entries grow too fast for higher orders
 _SIGNALS = [m for m in signal_models() if m.discrete]
 _CLOSURE_CASES = [("henon", load_model("henon"), 4),
                   ("burgers", load_model("burgers_discretized"), 4),
                   ("chain4_discrete", parse_model(CHAIN4_DISCRETE), 4),
                   ("signals0_discrete", _SIGNALS[0], 1),
-                  ("signals1_discrete", _SIGNALS[1], 2)]
+                  ("signals1_discrete", _SIGNALS[1], 2),
+                  # its order-2 closure runs for minutes unless poly_gcd
+                  # folds the content from the fewest-term coefficient
+                  ("rational_scheduled_discrete", parse_model(
+                      "time: discrete\nstates: x1, x2\ninputs: u, v\n"
+                      "outputs: y1, y2\nscheduling: r\n"
+                      "params: theta1, theta2\n"
+                      "A: [theta1/(u-2), r; y1, theta2]\n"
+                      "B: [u, 0; 0, 1]\nC: [u, v; 1, 0]\nD: [v, 0; 0, u^2]"),
+                   2)]
 
 
 @pytest.mark.parametrize("model,top", [c[1:] for c in _CLOSURE_CASES],
@@ -102,6 +149,24 @@ def test_carried_shifts_match_repeated_shifts(model, top):
     for w in range(top + 1):
         assert output_closure(model, w) == _nshift_closure(model, w), \
             f"order {w}"
+
+
+_CONTINUOUS_SIGNALS = [m for m in signal_models() if not m.discrete]
+_DERIVATIVE_CASES = (
+    [(name, load_model(name), 4)
+     for name in ("air_handling_unit", "product_coupling", "shared_gain")]
+    + [(f"chain{n}_continuous", chain_model(n, "continuous"), 4)
+       for n in (2, 3, 4)]
+    + [("signals0_continuous", _CONTINUOUS_SIGNALS[0], 1),
+       ("signals1_continuous", _CONTINUOUS_SIGNALS[1], 2)])
+
+
+@pytest.mark.parametrize("model,top", [c[1:] for c in _DERIVATIVE_CASES],
+                         ids=[c[0] for c in _DERIVATIVE_CASES])
+def test_stepped_derivatives_match_total_derivatives(model, top):
+    for w in range(top + 1):
+        want = _total_derivative_closure(model, w)
+        assert output_closure(model, w) == want, f"order {w}"
 
 
 def test_closure_variables_are_order_zero(goldens):
