@@ -249,8 +249,17 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
     time-differentiating (or shifting) the equations round-robin, lowest
     order first, using that the parameters are constant in time.  Full rank
     q certifies local identifiability; anything less is Undetermined.
+
+    At each point the rank is taken of J diag(theta), each row scaled by its
+    equation's common denominator (`Polynomial.term_values`): row i holds
+    sum_m e_j(m) value(m) in column j, e_j(m) the exponent of theta_j in
+    term m, one pass over the terms and no partial derivatives.  Every
+    drawn theta_j is at least 1/13 and every common denominator is nonzero,
+    so both scalings are nonsingular and J diag(theta) has J's rank.
     """
     q = len(params)
+    if q and not iop.equations:
+        raise ValueError("no equations to augment to the parameter count")
     eqs = list(iop.equations)
     augmented = False
     src = list(iop.equations)
@@ -264,7 +273,10 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
                 eqs.append(e)
         src = nxt
 
-    jac = [[e.partial(p) for p in params] for e in eqs]
+    col = {p: j for j, p in enumerate(params)}
+    # per equation: the parameter exponents (column, e) of each term
+    layout = [[[(col[v], e) for v, e in m if v in col] for m in eq.terms]
+              for eq in eqs]
     vars_ = set()
     for e in eqs:
         vars_ |= e.indeterminates()
@@ -279,7 +291,14 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
         for _ in range(points_per_trial):
             bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13))
                     for v in vars_}
-            rows = [[cell.evaluate(bind) for cell in row] for row in jac]
+            rows = []
+            for eq, terms in zip(eqs, layout):
+                row = [0] * q
+                values, _ = eq.term_values(bind)
+                for val, exps in zip(values, terms):
+                    for j, e in exps:
+                        row[j] += e * val
+                rows.append(row)
             trial_best = max(trial_best, rank_rational(rows))
             if trial_best == q:
                 break

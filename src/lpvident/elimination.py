@@ -18,7 +18,7 @@ nothing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from .expr import Expression, clear_denominators
 from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
@@ -79,8 +79,21 @@ def _bareiss_echelon(M: list):
 
 
 def rank_rational(rows: list) -> int:
-    """Exact rank of a Fraction matrix by Gaussian elimination."""
-    M = [list(map(Fraction, row)) for row in rows]
+    """Exact rank of a rational (int or Fraction) matrix, over the integers.
+
+    Each row is cleared to integers and divided by its content (a row scale
+    keeps the rank).  Elimination is fraction-free: row i becomes
+    (p/g) row_i - (a/g) pivot row, g = gcd(p, a), divided by its content.
+    That is the primitive integer row along the row that elimination over
+    Q would hold, never longer than Bareiss's row, an integer multiple of
+    it; on structured rows such as powers of one signal, Bareiss's rows
+    carry large common factors that this keeps out.
+    """
+    M = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        M.append(_primitive([x.numerator * (d // x.denominator)
+                             for x in row]))
     nr = len(M)
     nc = len(M[0]) if nr else 0
     rank = 0
@@ -91,11 +104,20 @@ def rank_rational(rows: list) -> int:
         M[rank], M[piv] = M[piv], M[rank]
         pr = M[rank]
         for i in range(rank + 1, nr):
-            if M[i][c]:
-                f = M[i][c] / pr[c]
-                M[i] = [a - f * b for a, b in zip(M[i], pr)]
+            row = M[i]
+            if row[c]:
+                g = gcd(pr[c], row[c])
+                p, a = pr[c] // g, row[c] // g
+                row[c + 1:] = _primitive([p * x - a * y for x, y in
+                                          zip(row[c + 1:], pr[c + 1:])])
         rank += 1
     return rank
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _to_poly_rows(matrix: list) -> tuple:

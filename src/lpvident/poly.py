@@ -15,8 +15,11 @@ sum, so the invariant holds there too; when one operand has at most one
 term, no two products merge and the coefficients multiply directly.
 Exact division follows the same split: a one-term divisor divides each term
 by its monomial, and a longer one runs long division on a single remainder
-dict updated in place.  All arithmetic is exact; there is no floating point
-anywhere.
+dict updated in place.  Evaluation at rational values makes the same split:
+a one-term polynomial multiplies out, a longer one computes the integer
+value of each term over one common denominator (`term_values`) and makes
+one Fraction of their sum.  All arithmetic is exact; there is no floating
+point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -319,43 +322,64 @@ class Polynomial:
             out[nm] = out.get(nm, Fraction(0)) + c
         return Polynomial(out)
 
-    def partial(self, var: Indeterminate) -> "Polynomial":
-        """Partial derivative with respect to one indeterminate."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            if var not in d:
-                continue
-            e = d[var]
-            if e == 1:
-                d.pop(var)
-            else:
-                d[var] = e - 1
-            nm = _mono(d)
-            out[nm] = out.get(nm, Fraction(0)) + c * e
-        return Polynomial(out)
+    def term_values(self, bindings: dict) -> tuple:
+        """([integer value of each term], common denominator), terms in
+        dict order, with every indeterminate bound to a rational.
 
-    def evaluate(self, bindings: dict) -> Fraction:
-        """Exact value with every indeterminate bound to a rational.
-
-        Each power v^e is computed once per call and shared by the terms
-        that hold it.
+        The bound values are written a_v / delta over the lcm delta of their
+        denominators and the coefficients over the lcm L of theirs; a term
+        of degree k is scaled by delta^(T - k), T the total degree, so every
+        value is an int over the one denominator L * delta^T.  Each power
+        a_v^e is computed once per call and shared by the terms that hold it.
         """
+        bound: dict = {}
+        for m in self.terms:
+            for v, _ in m:
+                if v not in bound:
+                    if v not in bindings:
+                        raise UnboundIndeterminate(
+                            f"no value bound for {v.display()}")
+                    bound[v] = bindings[v]
+        delta = lcm(*(b.denominator for b in bound.values()))
+        a = {v: b.numerator * (delta // b.denominator)
+             for v, b in bound.items()}
+        den, nums = _over_common_denominator(self.terms)
         powers: dict = {}
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
+        raw = []
+        top = 0
+        for m, val in nums:
+            k = 0
             for ve in m:
                 p = powers.get(ve)
                 if p is None:
                     v, e = ve
-                    if v not in bindings:
-                        raise UnboundIndeterminate(
-                            f"no value bound for {v.display()}")
-                    p = powers[ve] = Fraction(bindings[v]) ** e
+                    p = powers[ve] = a[v] ** e
                 val *= p
-            total += val
-        return total
+                k += ve[1]
+            raw.append((val, k))
+            if k > top:
+                top = k
+        scales = [delta ** (top - k) for k in range(top + 1)]
+        values = [val * scales[k] for val, k in raw]
+        return values, den * delta ** top
+
+    def evaluate(self, bindings: dict) -> Fraction:
+        """Exact value with every indeterminate bound to a rational.
+
+        A one-term polynomial multiplies out directly; a longer one sums
+        its `term_values` and makes one Fraction.
+        """
+        if len(self.terms) > 1:
+            values, den = self.term_values(bindings)
+            return Fraction(sum(values), den)
+        if not self.terms:
+            return Fraction(0)
+        ((m, val),) = self.terms.items()
+        for v, e in m:
+            if v not in bindings:
+                raise UnboundIndeterminate(f"no value bound for {v.display()}")
+            val *= bindings[v] ** e
+        return val
 
     def substitute_vars(self, mapping: dict) -> "Polynomial":
         """Rename indeterminates (value must be an Indeterminate)."""

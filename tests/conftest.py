@@ -107,6 +107,27 @@ def is_groebner(basis: list) -> bool:
     return True
 
 
+def fraction_rank(rows: list) -> int:
+    """Rank by Gaussian elimination over Fraction: the oracle that
+    `rank_rational` and the Jacobian rank test are checked against."""
+    M = [list(map(Fraction, row)) for row in rows]
+    nr = len(M)
+    nc = len(M[0]) if nr else 0
+    rank = 0
+    for c in range(nc):
+        piv = next((i for i in range(rank, nr) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        pr = M[rank]
+        for i in range(rank + 1, nr):
+            if M[i][c]:
+                f = M[i][c] / pr[c]
+                M[i] = [a - f * b for a, b in zip(M[i], pr)]
+        rank += 1
+    return rank
+
+
 def load_model(name: str):
     return parse_model(model_text(name))
 

@@ -2,23 +2,29 @@
 
 import importlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from conftest import (chain_model, fraction_rank, random_models,
+                      signal_models)
+from lpvident import elimination
 from lpvident.classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
                                ParamStatus, classify, draw_theta_ref,
                                evaluate_summary, jacobian_local_test,
                                model_status_of)
 from lpvident.elimination import left_nullspace
-from lpvident.errors import BudgetExceeded, DenominatorVanishesAtTheta
+from lpvident.errors import (BudgetExceeded, DenominatorVanishesAtTheta,
+                             EmptyNullspace)
 from lpvident.expr import Expression
 from lpvident.groebner import (gpoly_text, groebner_basis,
                                univariate_members)
-from lpvident.iop import ExhaustiveSummary, extract_summary, form_iop
+from lpvident.iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
 from lpvident.indets import parameter
 from lpvident.model import parse_model
 from lpvident.poly import Polynomial, poly_text
+from lpvident.poly import _mono as mono_of
 from lpvident.stacking import build_stack
 
 
@@ -331,6 +337,117 @@ def test_jacobian_never_reports_global(goldens):
         v = jacobian_local_test(iop, params, trials=2, seed=1)
         assert all(s.status != GLOBAL for s in v.per_param.values())
         assert v.model_status != GLOBAL
+
+
+def _partial(p, var):
+    """d p / d var, term by term: the Jacobian entries of the oracle."""
+    out = Polynomial()
+    for m, c in p.terms.items():
+        d = dict(m)
+        if var not in d:
+            continue
+        e = d.pop(var)
+        if e > 1:
+            d[var] = e - 1
+        out = out + Polynomial({mono_of(d): c * e})
+    return out
+
+
+def _oracle_points(iop, params, trials, seed, points_per_trial=5):
+    """(bindings, partial-derivative Jacobian evaluated entry by entry in
+    Fraction, its rank) at every point jacobian_local_test draws, in draw
+    order."""
+    q = len(params)
+    eqs = list(iop.equations)
+    src = list(iop.equations)
+    while len(eqs) < q:
+        src = [e.shift() if iop.discrete else e.differentiate() for e in src]
+        eqs += src[:q - len(eqs)]
+    jac = [[_partial(e, p) for p in params] for e in eqs]
+    vars_ = sorted(set().union(*(e.indeterminates() for e in eqs)),
+                   key=lambda v: v.sort_key)
+    rng = random.Random(seed)
+    points = []
+    for _ in range(trials):
+        for _ in range(points_per_trial):
+            bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13))
+                    for v in vars_}
+            values = [[cell.evaluate(bind) for cell in row] for row in jac]
+            points.append((bind, values, fraction_rank(values)))
+            if points[-1][2] == q:
+                break
+    return points
+
+
+def _first_iop(model, wmax):
+    for w in range(1, wmax + 1):
+        s = build_stack(model, w, size_cap=256)
+        ns = left_nullspace(s.O)
+        if ns.rows:
+            try:
+                return form_iop(s, ns, discrete=model.discrete)
+            except EmptyNullspace:
+                continue
+    return None
+
+
+def test_jacobian_ranks_match_partial_derivative_oracle(goldens,
+                                                        monkeypatch):
+    # J diag(theta), rows over integer numerators, has J's rank at every
+    # drawn point: the per-point ranks equal those of the partial
+    # derivatives evaluated in Fraction
+    cases = [_summary(m)[::2] for m in goldens.values()]
+    models = [chain_model(n, d) for n in (2, 3, 4)
+              for d in ("continuous", "discrete")]
+    # the continuous first signal model is left out: forming its order-1
+    # equations stalls in the dense polynomial gcd
+    models += random_models(30) + signal_models()[1:]
+    for m in models:
+        iop = _first_iop(m, m.n + 1)
+        if iop is not None:
+            cases.append((iop, list(m.params())))
+    assert len(cases) > 30
+    seen = []
+    real_rank = elimination.rank_rational
+
+    def recorded(rows):
+        seen.append((rows, real_rank(rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(elimination, "rank_rational", recorded)
+    for iop, params in cases:
+        for seed in (0, 1):
+            seen.clear()
+            v = jacobian_local_test(iop, params, trials=3, seed=seed)
+            points = _oracle_points(iop, params, 3, seed)
+            assert [r for _, r in seen] == [r for _, _, r in points]
+            assert v.evidence[0]["max_rank"] == max(r for _, _, r in points)
+            # each row, with column j divided by theta_j, is a positive
+            # multiple of the row of partial derivatives
+            for (rows, _), (bind, jac, _) in zip(seen, points):
+                for new, old in zip(rows, jac):
+                    ratios = set()
+                    for x, want, p in zip(new, old, params):
+                        assert (x == 0) == (want == 0)
+                        if want:
+                            ratios.add(x / bind[p] / want)
+                    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def test_jacobian_without_equations_raises():
+    # augmentation grows only from existing equations; with none it could
+    # never reach q, so the call refuses up front instead of looping
+    def expire(signum, frame):
+        raise TimeoutError("jacobian_local_test did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="no equations"):
+            jacobian_local_test(IopSet([], 1, False), [parameter("theta1", 1)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_check_root_rejects_a_zero_root():

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import random_models
+from conftest import fraction_rank, random_models
 from lpvident.elimination import (_bareiss_echelon, _normalize_row,
                                   _pivot_weight, _to_poly_rows, left_nullspace,
                                   rank_rational)
@@ -81,6 +81,37 @@ def test_rank_rational_basics():
     assert rank_rational([[1, 2], [2, 4]]) == 1
     assert rank_rational([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank_rational([[0, 0]]) == 0
+
+
+def _rational_matrix(rng, rows, cols, rank):
+    """A rows x cols matrix of small fractions of rank at most `rank`,
+    some rows zero."""
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    basis = [[frac() for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        if not basis or rng.random() < 0.15:
+            out.append([Fraction(0)] * cols)
+            continue
+        weights = [frac() for _ in basis]
+        out.append([sum((w * b[j] for w, b in zip(weights, basis)),
+                        Fraction(0)) for j in range(cols)])
+    return out
+
+
+def test_rank_rational_matches_fraction_elimination():
+    rng = random.Random(41)
+    shapes = [(6, 3), (3, 6), (5, 5), (9, 4), (1, 7), (7, 1)]
+    cases = [[], [[]], [[0, 0, 0]], [[Fraction(1, 3), 2], [1, 6]]]
+    for rows, cols in shapes:
+        for rank in range(0, min(rows, cols) + 1):
+            cases.append(_rational_matrix(rng, rows, cols, rank))
+            # ints and mixed int/Fraction entries
+            cases.append([[rng.randint(-5, 5) for _ in range(cols)]
+                          for _ in range(rows)])
+    for M in cases:
+        assert rank_rational(M) == fraction_rank(M), M
 
 
 def test_nullspace_annihilates_goldens(goldens):

@@ -179,6 +179,40 @@ def test_evaluate_matches_term_by_term_oracle():
         assert p.evaluate(bind) == _evaluate_term_by_term(p, bind)
 
 
+def test_term_values_match_term_by_term_oracle():
+    rng = random.Random(31)
+    indets = [TH1, TH2, U, Y]
+    polys = [P(), P.const(0), P.const(Fraction(-7, 3)), P.const(5),
+             pv(U, 3).scale(Fraction(2, 9)), pv(TH1) * pv(Y, 2),
+             # coefficients with distinct denominators
+             pv(TH1).scale(Fraction(1, 2)) + pv(U, 2).scale(Fraction(-2, 3))
+             + P.const(Fraction(5, 7))]
+    polys += [rand_poly(rng, indets, max_terms=8, max_deg=3)
+              for _ in range(40)]
+    values = [0, 1, -3, 7, Fraction(3, 7), Fraction(-5, 2), Fraction(11, 4)]
+    for p in polys:
+        for _ in range(3):
+            bind = {v: rng.choice(values) for v in indets}
+            want = _evaluate_term_by_term(p, bind)
+            assert p.evaluate(bind) == want
+            nums, den = p.term_values(bind)
+            assert den > 0 and all(type(n) is int for n in nums)
+            assert [Fraction(n, den) for n in nums] == [
+                _evaluate_term_by_term(P({m: c}), bind)
+                for m, c in p.terms.items()]
+            assert Fraction(sum(nums), den) == want
+
+
+def test_evaluate_unbound_on_both_paths():
+    one_term = pv(TH1) * pv(Y, 2)
+    multi_term = pv(TH1) + pv(Y)
+    for p in (one_term, multi_term):
+        with pytest.raises(UnboundIndeterminate, match="no value bound for y"):
+            p.evaluate({TH1: Fraction(2)})
+        with pytest.raises(UnboundIndeterminate, match="no value bound for y"):
+            p.term_values({TH1: 3})
+
+
 def test_evaluate_unbound_in_a_later_term():
     # the first terms bind, and their powers are cached before Y is met
     p = pv(TH1, 2) + pv(TH1, 2) * pv(U) + pv(U) * pv(Y, 3)
