@@ -18,6 +18,7 @@ nothing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 
 from .expr import Expression, clear_denominators
@@ -79,8 +80,9 @@ def _bareiss_echelon(M: list):
 
 
 def rank_rational(rows: list) -> int:
-    """Exact rank of a rational (int or Fraction) matrix, over the integers.
+    """Exact rank of a rational matrix, over the integers.
 
+    Entries are read as Fractions (int, Fraction, float or str, all exact).
     Each row is cleared to integers and divided by its content (a row scale
     keeps the rank).  Elimination is fraction-free: row i becomes
     (p/g) row_i - (a/g) pivot row, g = gcd(p, a), divided by its content.
@@ -91,6 +93,7 @@ def rank_rational(rows: list) -> int:
     """
     M = []
     for row in rows:
+        row = list(map(Fraction, row))
         d = lcm(*(x.denominator for x in row))
         M.append(_primitive([x.numerator * (d // x.denominator)
                              for x in row]))

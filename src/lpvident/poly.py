@@ -329,8 +329,10 @@ class Polynomial:
         The bound values are written a_v / delta over the lcm delta of their
         denominators and the coefficients over the lcm L of theirs; a term
         of degree k is scaled by delta^(T - k), T the total degree, so every
-        value is an int over the one denominator L * delta^T.  Each power
-        a_v^e is computed once per call and shared by the terms that hold it.
+        value is an int over the one denominator L * delta^T.  Each bound
+        value is read once as a Fraction, so int, Fraction, float and str
+        bindings are all taken exactly; each power a_v^e is computed once
+        per call and shared by the terms that hold it.
         """
         bound: dict = {}
         for m in self.terms:
@@ -339,7 +341,7 @@ class Polynomial:
                     if v not in bindings:
                         raise UnboundIndeterminate(
                             f"no value bound for {v.display()}")
-                    bound[v] = bindings[v]
+                    bound[v] = Fraction(bindings[v])
         delta = lcm(*(b.denominator for b in bound.values()))
         a = {v: b.numerator * (delta // b.denominator)
              for v, b in bound.items()}
@@ -366,8 +368,10 @@ class Polynomial:
     def evaluate(self, bindings: dict) -> Fraction:
         """Exact value with every indeterminate bound to a rational.
 
-        A one-term polynomial multiplies out directly; a longer one sums
-        its `term_values` and makes one Fraction.
+        A one-term polynomial (a constant or a single model entry, about
+        three quarters of all calls) multiplies out directly, with no common
+        denominator to build; a longer one sums its `term_values` and makes
+        one Fraction.
         """
         if len(self.terms) > 1:
             values, den = self.term_values(bindings)
@@ -378,7 +382,7 @@ class Polynomial:
         for v, e in m:
             if v not in bindings:
                 raise UnboundIndeterminate(f"no value bound for {v.display()}")
-            val *= bindings[v] ** e
+            val *= Fraction(bindings[v]) ** e
         return val
 
     def substitute_vars(self, mapping: dict) -> "Polynomial":

@@ -81,6 +81,10 @@ def test_rank_rational_basics():
     assert rank_rational([[1, 2], [2, 4]]) == 1
     assert rank_rational([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank_rational([[0, 0]]) == 0
+    # float and str entries are read exactly: 0.3 is not 3 * 0.1 in binary
+    assert rank_rational([[0.5, "1/3"], [1.5, 1]]) == 1
+    assert rank_rational([[0.1, 0.2], [1, 2]]) == 1
+    assert rank_rational([[0.1, 0.3], [1, 3]]) == 2
 
 
 def _rational_matrix(rng, rows, cols, rank):

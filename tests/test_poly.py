@@ -213,6 +213,18 @@ def test_evaluate_unbound_on_both_paths():
             p.term_values({TH1: 3})
 
 
+def test_evaluate_reads_bindings_exactly():
+    # float and str values are read as Fraction(x) reads them, exactly
+    polys = [P(), P.const(2), pv(TH1) * pv(Y, 2),
+             pv(TH1) + pv(Y, 2).scale(Fraction(1, 3))]
+    for p in polys:
+        for bind in ({TH1: 0.5, Y: "2/3"}, {TH1: 0.1, Y: -3}):
+            exact = {v: Fraction(x) for v, x in bind.items()}
+            got = p.evaluate(bind)
+            assert type(got) is Fraction and got == p.evaluate(exact)
+            assert p.term_values(bind) == p.term_values(exact)
+
+
 def test_evaluate_unbound_in_a_later_term():
     # the first terms bind, and their powers are cached before Y is met
     p = pv(TH1, 2) + pv(TH1, 2) * pv(U) + pv(U) * pv(Y, 3)
