@@ -7,9 +7,11 @@ shift order).  The canonical order sorts reference parameters first, then
 parameters, then signals grouped by role, so that parameter-only monomials
 always rank below signal monomials of equal degree.
 
-An indeterminate computes its sort key, and the hash of that key, once at
-construction: the key is a function of the fields, so equal indeterminates
-have equal keys and equal hashes.
+Indeterminates are interned: there is one object per (kind, base, index,
+role, order), built once with its sort key, so equality and hashing are
+object identity.  Constructing an existing one, through the class,
+`with_order`, `dataclasses.replace`, copy or pickle, returns the table
+entry after one dict lookup.
 """
 from __future__ import annotations
 
@@ -36,26 +38,36 @@ _ROLE_TIER = {Role.SCHEDULING: 2, Role.INPUT: 3, Role.OUTPUT: 4, Role.STATE: 5}
 _REF_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
+# (kind, base, index, role, order) -> the one Indeterminate with those fields;
+# IntEnum members hash and compare as their ints, so raw ints find them too
+_TABLE: dict = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Indeterminate:
     kind: Kind
     base: str
     index: int = 0          # 1-based for parameters and reference parameters
     role: Role | None = None
     order: int = 0          # derivative or shift order for signals
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.kind is Kind.SIGNAL:
-            key = (_ROLE_TIER[self.role], 0, self.base, self.order)
-        else:
-            key = (int(self.kind), self.index, self.base, 0)
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, kind, base, index=0, role=None, order=0):
+        v = _TABLE.get((kind, base, index, role, order))
+        if v is not None:
+            return v
+        kind = Kind(kind)
+        role = None if role is None else Role(role)
+        key = ((_ROLE_TIER[role], 0, base, order) if kind is Kind.SIGNAL
+               else (int(kind), index, base, 0))
+        v = object.__new__(cls)
+        v.__dict__.update(kind=kind, base=base, index=index, role=role,
+                          order=order, sort_key=key)
+        return _TABLE.setdefault((kind, base, index, role, order), v)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Indeterminate, (self.kind, self.base, self.index, self.role,
+                               self.order)
 
     def with_order(self, order: int) -> "Indeterminate":
         return Indeterminate(self.kind, self.base, self.index, self.role, order)

@@ -3,16 +3,17 @@
 A monomial is a tuple of (indeterminate, exponent) pairs with positive
 exponents, sorted ascending by the canonical indeterminate order; the empty
 tuple is 1.  Because both factors are sorted, a product of monomials is a
-merge of the two tuples and never needs a sort.  A polynomial maps
-monomials to nonzero Fraction coefficients.  The public constructor
-enforces that (it wraps every coefficient in Fraction and drops zeros);
-ring arithmetic, whose coefficients are nonzero Fractions by construction,
-builds its results through the private `Polynomial._of`, which trusts its
-dict.  A product of two multi-term polynomials writes each operand as
-integer numerators over one common denominator (the lcm of its coefficient
-denominators), sums the products as ints and makes one Fraction per nonzero
-sum, so the invariant holds there too; when one operand has at most one
-term, no two products merge and the coefficients multiply directly.
+merge of the two tuples (matching interned indeterminates by identity)
+and never needs a sort.  A polynomial maps monomials to nonzero Fraction
+coefficients.  The public constructor enforces that (it wraps every
+coefficient in Fraction and drops zeros); ring arithmetic, whose
+coefficients are nonzero Fractions by construction, builds its results
+through the private `Polynomial._of`, which trusts its dict.  A product of
+two multi-term polynomials writes each operand as integer numerators over
+one common denominator (the lcm of its coefficient denominators), sums the
+products as ints and makes one Fraction per nonzero sum, so the invariant
+holds there too; when one operand has one term, no two products merge and
+the coefficients multiply directly, or are copied or negated by a 1 or -1.
 Exact division follows the same split: a one-term divisor divides each term
 by its monomial, and a longer one runs long division on a single remainder
 dict updated in place.  Evaluation at rational values makes the same split:
@@ -74,12 +75,11 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     while i < na and j < nb:
         va, ea = a[i]
         vb, eb = b[j]
-        ka, kb = va.sort_key, vb.sort_key
-        if ka == kb:
+        if va is vb:
             out.append((va, ea + eb))
             i += 1
             j += 1
-        elif ka < kb:
+        elif va.sort_key < vb.sort_key:
             out.append(a[i])
             i += 1
         else:
@@ -102,7 +102,7 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     for va, ea in a:
         if j < nb:
             vb, eb = b[j]
-            if vb is va or vb.sort_key == va.sort_key:
+            if vb is va:
                 j += 1
                 if ea < eb:
                     return None
@@ -239,8 +239,16 @@ class Polynomial:
             small, large = large, small
         if len(small) <= 1:
             # monomial multiplication is injective: no two products merge
+            if not small:
+                return Polynomial._of({})
+            ((m1, c1),) = small.items()
+            if c1 == 1:
+                return Polynomial._of({mono_mul(m1, m2): c2
+                                       for m2, c2 in large.items()})
+            if c1 == -1:
+                return Polynomial._of({mono_mul(m1, m2): -c2
+                                       for m2, c2 in large.items()})
             return Polynomial._of({mono_mul(m1, m2): c1 * c2
-                                   for m1, c1 in small.items()
                                    for m2, c2 in large.items()})
         # integer numerators over one common denominator per operand
         da, na = _over_common_denominator(self.terms)
@@ -296,31 +304,35 @@ class Polynomial:
     # --- calculus and shifts ---
 
     def differentiate(self) -> "Polynomial":
-        """Time derivative: signals gain one order, parameters are constant."""
+        """Time derivative: signals gain one order, parameters are constant.
+
+        d(v^e) = e*v^(e-1)*w with w = v^(k+1) for v = v^(k); no key lies
+        between v and w, so w goes in right after v's place, merged with a
+        w already there, and the monomial needs no sort."""
         out: dict = {}
         for m, c in self.terms.items():
-            for v, e in m:
+            for i, (v, e) in enumerate(m):
                 if v.kind is not Kind.SIGNAL:
                     continue
-                d = dict(m)
-                if e == 1:
-                    d.pop(v)
-                else:
-                    d[v] = e - 1
                 w = v.with_order(v.order + 1)
-                d[w] = d.get(w, 0) + 1
-                nm = _mono(d)
-                out[nm] = out.get(nm, Fraction(0)) + c * e
-        return Polynomial(out)
+                head = m[:i] + ((v, e - 1),) if e > 1 else m[:i]
+                rest = m[i + 1:]
+                if rest and rest[0][0] is w:
+                    nm = head + ((w, rest[0][1] + 1),) + rest[1:]
+                else:
+                    nm = head + ((w, 1),) + rest
+                dc = c * e if e > 1 else c
+                out[nm] = out[nm] + dc if nm in out else dc
+        return Polynomial._of({m: c for m, c in out.items() if c})
 
     def shift(self) -> "Polynomial":
-        """Forward time shift: a ring homomorphism bumping signal orders."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            nm = _mono({(v.with_order(v.order + 1) if v.kind is Kind.SIGNAL
-                         else v): e for v, e in m})
-            out[nm] = out.get(nm, Fraction(0)) + c
-        return Polynomial(out)
+        """Forward time shift: a ring homomorphism bumping signal orders.
+        It keeps the canonical order within each monomial and maps distinct
+        monomials apart, so each monomial maps in place, with no sort."""
+        return Polynomial._of({
+            tuple((v.with_order(v.order + 1) if v.kind is Kind.SIGNAL else v, e)
+                  for v, e in m): c
+            for m, c in self.terms.items()})
 
     def term_values(self, bindings: dict) -> tuple:
         """([integer value of each term], common denominator), terms in

@@ -420,3 +420,58 @@ def test_verifier_runs_a_trajectory_window_at_any_order():
                         {"verifier_checks": 0})
     assert out["trajectory"] == {"ok": True, "windows": 1,
                                  "max_residual": "0"}
+
+
+# Runs analyze, local, verify and iop --order 3 on the model files given as
+# arguments and prints every JSON report.  With "reverse" first, it interns
+# the indeterminates of those files before parsing them: orders 6..0 of
+# every signal and the parameters and reference parameters from the last
+# index down, in reverse file order, with allocations of several sizes in
+# between, so every indeterminate lands at another address, and so under
+# another identity hash, than in a plain run.
+_INTERN_THEN_REPORT = r"""
+import sys
+from lpvident.cli import main
+from lpvident.indets import Role, parameter, ref_parameter, signal
+
+ROLES = {"states": Role.STATE, "inputs": Role.INPUT,
+         "outputs": Role.OUTPUT, "scheduling": Role.SCHEDULING}
+reverse, paths = sys.argv[1] == "reverse", sys.argv[2:]
+made, junk = [], []
+if reverse:
+    for path in reversed(paths):
+        for line in reversed(open(path).read().splitlines()):
+            key, _, names = line.partition(":")
+            names = [n.strip() for n in names.split(",") if n.strip()]
+            if key == "params":
+                for i in range(len(names), 0, -1):
+                    made += [ref_parameter(i), parameter(names[i - 1], i)]
+                    junk.append([tuple(range(j)) for j in range(i + 3)])
+            elif key in ROLES:
+                for name in reversed(names):
+                    for k in range(6, -1, -1):
+                        made.append(signal(name, ROLES[key], k))
+                        junk.append([tuple(range(j)) for j in range(k + 2)])
+for path in paths:
+    for argv in (["analyze"], ["local"], ["verify"], ["iop", "--order", "3"]):
+        code = main([argv[0], path, *argv[1:], "--format", "json"])
+        print("exit", code, flush=True)
+"""
+
+
+def test_reports_do_not_depend_on_indeterminate_addresses():
+    # indeterminates hash by identity, so a set of them iterates in an
+    # order fixed by where they were allocated; no report may show it
+    paths = [str(model_path(name)) for name in sorted(EXPECTED_MODEL_STATUS)]
+    src = str(Path(lpvident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = []
+    for order in ("plain", "reverse"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _INTERN_THEN_REPORT, order, *paths],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("exit") == 4 * len(paths)
+    assert outs[0] == outs[1]

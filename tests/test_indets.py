@@ -1,6 +1,9 @@
-"""Indeterminates: cached sort keys, hashing, and key uniqueness."""
+"""Indeterminates: interning, identity hashing, sort keys and key
+uniqueness."""
 
+import copy
 import dataclasses
+import pickle
 
 from conftest import load_model
 from lpvident.indets import (Indeterminate, Kind, Role, parameter,
@@ -16,9 +19,29 @@ def test_equal_instances_hash_equal():
              (signal("y", Role.OUTPUT, 2),
               signal("y", Role.OUTPUT).with_order(2))]
     for a, b in pairs:
-        assert a is not b
+        assert a is b
         assert a == b and hash(a) == hash(b) and a.sort_key == b.sort_key
         assert {a: 1}[b] == 1
+
+
+def test_every_constructor_returns_the_interned_object():
+    y2 = signal("y", Role.OUTPUT, 2)
+    y = signal("y", Role.OUTPUT)
+    assert y2 is y.with_order(2)
+    assert y2 is dataclasses.replace(y, order=2)
+    assert y2 is Indeterminate(Kind.SIGNAL, "y", 0, Role.OUTPUT, 2)
+    assert y2 is Indeterminate(2, "y", 0, 2, 2)  # raw-int kind and role
+    th = parameter("theta1", 1)
+    assert th is Indeterminate(1, "theta1", 1)
+    for v in (y2, th, ref_parameter(3)):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert copy.deepcopy([v, (v, 1)])[1][0] is v
+        assert pickle.loads(pickle.dumps(v)) is v
+    # the table entry keeps its enum fields whatever the caller passed
+    raw = Indeterminate(2, "z", 0, 3, 1)
+    assert type(raw.kind) is Kind and type(raw.role) is Role
+    assert raw is signal("z", Role.STATE, 1)
 
 
 def test_new_order_gives_the_new_key():

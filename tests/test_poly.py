@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lpvident.errors import ExactDivisionError, UnboundIndeterminate
-from lpvident.indets import (Indeterminate, Role, parameter, ref_parameter,
-                             signal)
+from lpvident.indets import (Indeterminate, Kind, Role, parameter,
+                             ref_parameter, signal)
 from lpvident.poly import _mono as mono_of
 from lpvident.expr import Expression
 from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
@@ -439,7 +439,8 @@ def test_mono_key_matches_aligned_degrevlex():
 
 def test_mono_mul_merge_matches_sorted_exponent_sum():
     # every kind, every signal role at several orders; the second operand
-    # holds separate but equal indeterminate objects
+    # rebuilds its indeterminates through the constructor, which must hand
+    # back the interned objects that the merge compares by identity
     variables = [ref_parameter(1), ref_parameter(2), TH1, TH2, TH3]
     variables += [signal(b, r, k) for b, r in (("rho", Role.SCHEDULING),
                                                ("u", Role.INPUT),
@@ -470,6 +471,8 @@ def test_mono_mul_merge_matches_sorted_exponent_sum():
 
 
 def test_mono_div_merge_matches_exponent_difference():
+    # the divisor rebuilds its indeterminates through the constructor, as in
+    # the mono_mul test above
     variables = [ref_parameter(1), TH1, TH2, TH3]
     variables += [signal(b, r, k) for b, r in (("u", Role.INPUT),
                                                ("y", Role.OUTPUT))
@@ -563,6 +566,94 @@ def test_product_matches_fraction_double_loop():
     third = a.scale(Fraction(1, 3))
     assert (third * b.scale(Fraction(3, 2)) - (a * b).scale(Fraction(1, 2))
             ).is_zero()
+
+
+def test_one_term_product_matches_term_by_term_product():
+    # a one-term operand of coefficient 1, -1, an integer or a fraction, on
+    # a constant or a monomial, against a longer operand, another one-term
+    # operand and the zero polynomial, in both operand orders
+    rng = random.Random(23)
+    indets = [ref_parameter(1), TH1, U, Y, Y.with_order(1), X2]
+    longer = [rand_poly(rng, indets, max_terms=6) for _ in range(20)]
+    longer += [P(), pv(U), -pv(Y), pv(TH1) - pv(U, 2)]
+    for c in (1, -1, 7, Fraction(-3, 5), Fraction(2, 9)):
+        for m in ((), ((TH1, 1),), ((U, 2), (Y, 1)), ((TH1, 1), (X2, 3))):
+            one = P({m: c})
+            for other in longer + [P({((U, 1),): c}), P.const(c)]:
+                for x, y in ((one, other), (other, one)):
+                    got = (x * y).terms
+                    want = _oracle_product(x, y)
+                    assert got == want
+                    assert list(got) == list(want)
+                    assert all(type(v) is Fraction and v for v in got.values())
+
+
+def _oracle_differentiate(p):
+    """The time derivative built through a dict and a sort per product."""
+    out = {}
+    for m, c in p.terms.items():
+        for v, e in m:
+            if v.kind is not Kind.SIGNAL:
+                continue
+            d = dict(m)
+            if e == 1:
+                d.pop(v)
+            else:
+                d[v] = e - 1
+            w = v.with_order(v.order + 1)
+            d[w] = d.get(w, 0) + 1
+            nm = mono_of(d)
+            out[nm] = out.get(nm, Fraction(0)) + c * e
+    return P(out)
+
+
+def _oracle_shift(p):
+    """The forward shift built through a dict and a sort per monomial."""
+    out = {}
+    for m, c in p.terms.items():
+        nm = mono_of({(v.with_order(v.order + 1) if v.kind is Kind.SIGNAL
+                       else v): e for v, e in m})
+        out[nm] = out.get(nm, Fraction(0)) + c
+    return P(out)
+
+
+def test_differentiate_and_shift_match_sorted_construction():
+    # every kind and role, with adjacent orders so that a derivative lands
+    # on an order the monomial already holds
+    variables = [ref_parameter(1), ref_parameter(2), TH1, TH2]
+    variables += [signal(b, r, k) for b, r in (("rho", Role.SCHEDULING),
+                                               ("u", Role.INPUT),
+                                               ("y", Role.OUTPUT),
+                                               ("x1", Role.STATE),
+                                               ("x2", Role.STATE))
+                  for k in (0, 1, 2, 4)]
+    rng = random.Random(29)
+
+    def rand_terms():
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            m = mono_of({v: e for v in variables
+                         if (e := rng.choice((0, 0, 0, 0, 0, 1, 1, 2, 3)))})
+            terms[m] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return P(terms)
+
+    x, x1 = pv(X2), pv(X2.with_order(1))
+    cases = [P(), P.const(3), pv(TH1), x * pv(Y, 1) * pv(Y.with_order(1)),
+             x * pv(Y.with_order(1)) - x1 * pv(Y),   # x'*y' cancels
+             pv(X2, 3) * pv(X2.with_order(1), 2) * pv(TH2)]
+    cases += [rand_terms() for _ in range(400)]
+    for p in cases:
+        for got, want in ((p.differentiate(), _oracle_differentiate(p)),
+                          (p.shift(), _oracle_shift(p))):
+            assert got.terms == want.terms
+            assert list(got.terms) == list(want.terms)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+            for m in got.terms:
+                keys = [v.sort_key for v, _ in m]
+                assert keys == sorted(set(keys))
+                assert all(e > 0 for _, e in m)
+    assert (x * pv(Y.with_order(1)) - x1 * pv(Y)).differentiate() == (
+        x * pv(Y.with_order(2)) - pv(X2.with_order(2)) * pv(Y))
 
 
 def test_poly_text_canonical_forms():
