@@ -13,7 +13,7 @@ two multi-term polynomials writes each operand as integer numerators over
 one common denominator (the lcm of its coefficient denominators), sums the
 products as ints and makes one Fraction per nonzero sum, so the invariant
 holds there too; when one operand has one term, no two products merge and
-the coefficients multiply directly, or are copied or negated by a 1 or -1.
+the coefficients multiply directly, or are copied when that term's is 1.
 Exact division follows the same split: a one-term divisor divides each term
 by its monomial, and a longer one runs long division on a single remainder
 dict updated in place.  Evaluation at rational values makes the same split:
@@ -244,9 +244,6 @@ class Polynomial:
             ((m1, c1),) = small.items()
             if c1 == 1:
                 return Polynomial._of({mono_mul(m1, m2): c2
-                                       for m2, c2 in large.items()})
-            if c1 == -1:
-                return Polynomial._of({mono_mul(m1, m2): -c2
                                        for m2, c2 in large.items()})
             return Polynomial._of({mono_mul(m1, m2): c1 * c2
                                    for m2, c2 in large.items()})
