@@ -22,9 +22,11 @@ strict majority.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .elimination import rank_rational
 from .errors import (BudgetExceeded, DenominatorVanishesAtTheta,
                      LpvIdentError)
 from .expr import Expression
@@ -104,8 +106,11 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
     ref = {p: ref_parameter(p.index) for p in params}
     for e in summary.elements:
         if theta_ref is None:
-            n_ref = e.num.substitute_vars(ref)
-            d_ref = e.den.substitute_vars(ref)
+            # theta_j -> a_j keeps each monomial's order (same index) and
+            # merges no terms (one-to-one), so the term dicts rename in place
+            n_ref, d_ref = (Polynomial._of({tuple((ref[v], k) for v, k in m): c
+                                            for m, c in p.terms.items()})
+                            for p in (e.num, e.den))
         else:
             d_ref = Polynomial.const(e.den.evaluate(theta_ref))
             if d_ref.is_zero():
@@ -119,9 +124,10 @@ def evaluate_summary(summary: ExhaustiveSummary, params: list,
     return gens
 
 
-def _fixes(basis, target: Indeterminate) -> bool:
-    """Whether the reduced basis holds a generator target - c."""
-    return any(g.degree() == 1 for g in univariate_members(basis, target))
+def _elimination_member(basis, target: Indeterminate):
+    """The one basis generator of positive degree in target alone, or None."""
+    return next((g for g in univariate_members(basis, target)
+                 if g.degree() >= 1), None)
 
 
 def _classify_parameter(gens: list, params: list, target: Indeterminate,
@@ -130,18 +136,17 @@ def _classify_parameter(gens: list, params: list, target: Indeterminate,
     """(ParamStatus, elimination polynomial text or None).
 
     The verdict is read off the trial's lex(params) basis full when target
-    is last in it or fixed by it; otherwise off target's own basis.
+    is last in it or fixed by it (a generator target - c); otherwise off
+    target's own basis.
     """
-    if full is not None and (target == params[-1] or _fixes(full, target)):
-        gb = full
-    else:
+    g = None if full is None else _elimination_member(full, target)
+    if full is None or (target != params[-1]
+                        and (g is None or g.degree() > 1)):
         seq = [p for p in params if p != target] + [target]
-        gb = groebner_basis(gens, seq, pair_budget, degree_budget)
-    uni = univariate_members(gb, target)
-    uni = [g for g in uni if g.degree() >= 1]
-    if not uni:
+        g = _elimination_member(
+            groebner_basis(gens, seq, pair_budget, degree_budget), target)
+    if g is None:
         return ParamStatus(NON_IDENTIFIABLE), None
-    g = min(uni, key=lambda u: u.degree())
     d = g.degree()
     if d == 1:
         _check_root(g, target, theta_ref)
@@ -175,21 +180,19 @@ def classify(summary: ExhaustiveSummary, params: list, mode: str = "numeric",
     n_trials = 1 if mode == "symbolic" else trials
     rng = random.Random(seed)
     for t in range(n_trials):
-        theta_ref = None
-        gens = None
         if mode == "numeric":
             for _ in range(20):
-                cand = draw_theta_ref(params, rng)
+                theta_ref = draw_theta_ref(params, rng)
                 try:
-                    gens = evaluate_summary(summary, params, cand)
-                    theta_ref = cand
+                    gens = evaluate_summary(summary, params, theta_ref)
                     break
                 except DenominatorVanishesAtTheta:
-                    continue
-            if gens is None:
+                    pass
+            else:
                 raise DenominatorVanishesAtTheta(
                     "could not draw a reference point off the denominator variety")
         else:
+            theta_ref = None
             gens = evaluate_summary(summary, params)
 
         trial_ev = {
@@ -228,21 +231,18 @@ def classify(summary: ExhaustiveSummary, params: list, mode: str = "numeric",
 
     per_param = {}
     for p in params:
-        votes = [r[p.base] for r in runs]
-        counts: dict = {}
-        for v in votes:
-            counts[v] = counts.get(v, 0) + 1
-        best, best_n = max(counts.items(), key=lambda kv: kv[1])
-        if best_n * 2 > len(votes):
-            per_param[p.base] = best
-        else:
-            per_param[p.base] = ParamStatus(UNDETERMINED)
+        [(best, votes)] = Counter(r[p.base] for r in runs).most_common(1)
+        per_param[p.base] = (best if 2 * votes > len(runs)
+                             else ParamStatus(UNDETERMINED))
     return Verdict(model_status_of(list(per_param.values())), per_param,
                    "groebner", n_trials, evidence)
 
 
+POINTS_PER_TRIAL = 5
+
+
 def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
-                        seed: int = 0, points_per_trial: int = 5) -> Verdict:
+                        seed: int = 0) -> Verdict:
     """One-sided local test: rank of d(psi)/d(theta) at random points.
 
     When there are fewer equations than parameters the set is augmented by
@@ -260,18 +260,11 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
     q = len(params)
     if q and not iop.equations:
         raise ValueError("no equations to augment to the parameter count")
-    eqs = list(iop.equations)
-    augmented = False
-    src = list(iop.equations)
+    eqs = src = list(iop.equations)
     while len(eqs) < q:
-        augmented = True
-        nxt = []
-        for e in src:
-            nxt.append(e.shift() if iop.discrete else e.differentiate())
-        for e in nxt:
-            if len(eqs) < q:
-                eqs.append(e)
-        src = nxt
+        src = [e.shift() if iop.discrete else e.differentiate() for e in src]
+        eqs = eqs + src[:q - len(eqs)]
+    augmented = len(eqs) > len(iop.equations)
 
     col = {p: j for j, p in enumerate(params)}
     # per equation: the parameter exponents (column, e) of each term
@@ -282,13 +275,12 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
         vars_ |= e.indeterminates()
     vars_ = sorted(vars_, key=lambda v: v.sort_key)
 
-    from .elimination import rank_rational
     rng = random.Random(seed)
     best = 0
     ranks = []
     for _ in range(trials):
         trial_best = 0
-        for _ in range(points_per_trial):
+        for _ in range(POINTS_PER_TRIAL):
             bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13))
                     for v in vars_}
             rows = []

@@ -64,12 +64,6 @@ class AnalysisConfig:
             raise ValueError("max order must be at least 1")
         if min(self.pair_budget, self.degree_budget, self.size_cap) < 1:
             raise ValueError("budgets must be positive")
-        if self.method not in ("groebner", "jacobian", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.mode not in ("numeric", "symbolic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _new_counters() -> dict:
@@ -95,7 +89,7 @@ def _at_order(model, w: int, config: AnalysisConfig, counters: dict) -> tuple:
     counters["stack_builds"] += 1
     ns = left_nullspace(stack.O)
     counters["nullspace_calls"] += 1
-    iop = form_iop(stack, ns, model.discrete) if ns.dimension else None
+    iop = form_iop(stack, ns) if ns.dimension else None
     covered = set()
     if iop is not None:
         for i in range(len(iop.equations)):

@@ -177,7 +177,7 @@ def _normalize_row(row: list) -> list:
     if cont:
         scale = 1 / cont
         lead = next(p for p in row if not p.is_zero())
-        if lead.content() < 0:
+        if lead.leading()[1] < 0:
             scale = -scale
         row = [p.scale(scale) for p in row]
     return [Expression(p) for p in row]

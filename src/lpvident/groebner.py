@@ -11,8 +11,10 @@ first.  The coprime-leading-term criterion discards product pairs, and
 Buchberger's chain criterion (Cox, Little and O'Shea, Ideals, Varieties,
 and Algorithms, ch. 2 section 10) skips a pair (i, j) whose lcm some third
 leading term divides when neither (i, k) nor (j, k) is still pending.
-Reduction works in place on one term dict, and the result is
-inter-reduced to the unique reduced basis with monic generators.  Pair and
+Every generator is made monic when it joins the basis, so reduction and
+S-polynomials scale by the reducee's own coefficients and never divide by
+a leading one.  Reduction works in place on one term dict, and the result
+is inter-reduced to the unique reduced basis with monic generators.  Pair and
 degree budgets convert runaway computations into BudgetExceeded; the pair
 budget counts the reductions performed, not the pairs skipped.
 """
@@ -132,16 +134,19 @@ def _lcm(a: tuple, b: tuple) -> tuple:
 
 
 def reduce_gpoly(f: GPoly, basis: list) -> GPoly:
-    """Full normal form of f modulo basis (leading and tail reduction)."""
-    leads = [g.leading() for g in basis]
+    """Full normal form of f modulo basis (leading and tail reduction).
+
+    The basis members must be monic: a term c*x^m then reduces by
+    c*x^(m-gm)*g, with no division.
+    """
+    leads = [max(g.terms) for g in basis]
     work = dict(f.terms)
     remainder: dict = {}
     while work:
         m = max(work)
-        c = work[m]
-        for g, (gm, gc) in zip(basis, leads):
+        for g, gm in zip(basis, leads):
             if _divides(gm, m):
-                _sub_scaled(work, g, tuple(map(sub, m, gm)), c / gc)
+                _sub_scaled(work, g, tuple(map(sub, m, gm)), work[m])
                 break
         else:
             remainder[m] = work.pop(m)
@@ -149,12 +154,13 @@ def reduce_gpoly(f: GPoly, basis: list) -> GPoly:
 
 
 def s_polynomial(f: GPoly, g: GPoly) -> GPoly:
-    fm, fc = f.leading()
-    gm, gc = g.leading()
+    """S-polynomial of two monic basis members: (L/lm f)*f - (L/lm g)*g,
+    L the lcm of their leading monomials; no coefficient is divided."""
+    fm, gm = max(f.terms), max(g.terms)
     l = _lcm(fm, gm)
     terms: dict = {}
-    _sub_scaled(terms, f, tuple(map(sub, l, fm)), -(1 / fc))
-    _sub_scaled(terms, g, tuple(map(sub, l, gm)), 1 / gc)
+    _sub_scaled(terms, f, tuple(map(sub, l, fm)), -1)
+    _sub_scaled(terms, g, tuple(map(sub, l, gm)), 1)
     return GPoly(terms, f.variables)
 
 
@@ -172,21 +178,18 @@ def groebner_basis(generators: list, variables,
                    pair_budget: int = 20000, degree_budget: int = 60) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal spanned by the generators.
 
-    The variables are listed largest first.  Accepts Polynomial (mixed
-    parameter/reference indeterminates) or GPoly inputs.  Raises
+    The variables are listed largest first; the generators are Polynomials
+    in the variables and reference parameters.  Raises
     BudgetExceeded when a pair reduction beyond the first pair_budget is
     about to run, or when an intermediate degree outgrows degree_budget.
     """
     variables = tuple(variables)
-    basis = []
-    for g in generators:
-        gp = g if isinstance(g, GPoly) else gpoly_from_polynomial(g, variables)
-        if not gp.is_zero():
-            basis.append(gp.monic())
+    basis = [gp.monic() for gp in (gpoly_from_polynomial(g, variables)
+                                   for g in generators) if not gp.is_zero()]
     if not basis:
         return GroebnerBasis([], variables)
 
-    leads = [g.leading()[0] for g in basis]
+    leads = [max(g.terms) for g in basis]
     pairs = [(_lcm(leads[i], leads[j]), i, j)
              for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
@@ -217,7 +220,7 @@ def groebner_basis(generators: list, variables,
                 f"degree budget {degree_budget} exceeded during reduction")
         k = len(basis)
         basis.append(r.monic())
-        leads.append(r.leading()[0])
+        leads.append(max(r.terms))
         for t in range(k):
             heapq.heappush(pairs, (_lcm(leads[t], leads[k]), t, k))
             pending.add((t, k))
@@ -226,31 +229,22 @@ def groebner_basis(generators: list, variables,
 
 
 def _inter_reduce(basis: list, leads: list) -> list:
-    """Minimal then fully reduced basis, monic, deterministic order."""
+    """Minimal then fully reduced basis, monic, deterministic order.
+
+    No other leading monomial of a minimal basis divides a member's, so
+    reducing the member by the others keeps its monic leading term.
+    """
     # drop generators whose leading monomial is divisible by another's
-    kept = []
-    for i, g in enumerate(basis):
-        mi = leads[i]
-        if any(j != i and _divides(leads[j], mi)
-               and (leads[j] != mi or j < i) for j in range(len(basis))):
-            continue
-        kept.append(g)
-    out = []
-    for i, g in enumerate(kept):
-        others = [h for j, h in enumerate(kept) if j != i]
-        r = reduce_gpoly(g, others) if others else g
-        if not r.is_zero():
-            out.append(r.monic())
-    out.sort(key=lambda g: g.leading()[0], reverse=True)
-    return out
+    kept = [g for i, (g, mi) in enumerate(zip(basis, leads))
+            if not any(j != i and _divides(mj, mi) and (mj != mi or j < i)
+                       for j, mj in enumerate(leads))]
+    return sorted((reduce_gpoly(g, kept[:i] + kept[i + 1:])
+                   for i, g in enumerate(kept)),
+                  key=lambda g: max(g.terms), reverse=True)
 
 
 def univariate_members(basis: GroebnerBasis, var: Indeterminate) -> list:
     """Basis generators involving only the given variable."""
     idx = basis.variables.index(var)
-    out = []
-    for g in basis.generators:
-        if all(all(e == 0 for k, e in enumerate(m) if k != idx)
-               for m in g.terms):
-            out.append(g)
-    return out
+    return [g for g in basis.generators
+            if not any(any(m[:idx] + m[idx + 1:]) for m in g.terms)]

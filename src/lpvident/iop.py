@@ -60,8 +60,13 @@ def _ranked_groups(psi: Polynomial) -> list:
                   reverse=True)
 
 
-def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
-    """Contract null-space rows with the known side of the stacked system."""
+def form_iop(stack: StackedSystem, nullspace, discrete=None) -> IopSet:
+    """Contract null-space rows with the known side of the stacked system.
+
+    The equations take the stack's time domain; a given discrete must match.
+    """
+    if discrete is not None and discrete != stack.discrete:
+        raise ValueError("discrete disagrees with the stack's time domain")
     if not nullspace.rows:
         raise EmptyNullspace(
             f"stacked matrix at order {stack.order} has no left null-space")
@@ -83,7 +88,7 @@ def form_iop(stack: StackedSystem, nullspace, discrete: bool = False) -> IopSet:
         equations.append(psi)
     if not equations:
         raise EmptyNullspace("all candidate equations were identically zero")
-    return IopSet(equations, stack.order, discrete)
+    return IopSet(equations, stack.order, stack.discrete)
 
 
 def extract_summary(iop: IopSet) -> ExhaustiveSummary:

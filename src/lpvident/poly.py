@@ -394,18 +394,6 @@ class Polynomial:
             val *= Fraction(bindings[v]) ** e
         return val
 
-    def substitute_vars(self, mapping: dict) -> "Polynomial":
-        """Rename indeterminates (value must be an Indeterminate)."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            nm: dict = {}
-            for v, e in m:
-                w = mapping.get(v, v)
-                nm[w] = nm.get(w, 0) + e
-            key = _mono(nm)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(out)
-
     # --- normalization ---
 
     def content(self) -> Fraction:

@@ -27,6 +27,7 @@ from .model import LpvModel
 @dataclass
 class StackedSystem:
     order: int
+    discrete: bool   # shift (True) or derivative (False) stack
     O: list          # ((w+1)p + wn) x ((w+1)n) of Expression
     G: list          # ((w+1)p + wn) x ((w+1)m) of Expression
     Y0: list         # known-side symbols: y derivatives then zeros
@@ -92,5 +93,5 @@ def build_stack(model: LpvModel, w: int, size_cap: int = 64) -> StackedSystem:
     Y0 = [Expression.var(s.with_order(i))
           for i in range(w + 1) for s in model.outputs()]
     Y0 += [E_ZERO] * (w * n)
-    return StackedSystem(w, [o for o, _ in rows], [g for _, g in rows],
-                         Y0, X, U)
+    return StackedSystem(w, discrete, [o for o, _ in rows],
+                         [g for _, g in rows], Y0, X, U)

@@ -47,7 +47,7 @@ def _canon_set(elements) -> set:
 
 def _pipeline(model, w=2):
     s = build_stack(model, w)
-    iop = form_iop(s, left_nullspace(s.O), discrete=model.discrete)
+    iop = form_iop(s, left_nullspace(s.O))
     return s, iop, extract_summary(iop)
 
 
@@ -58,7 +58,7 @@ def _first_iop(model, wmax=3):
         if not ns.rows:
             continue
         try:
-            return form_iop(s, ns, discrete=model.discrete)
+            return form_iop(s, ns)
         except EmptyNullspace:
             continue
     return None
@@ -331,7 +331,7 @@ def test_criterion_10_scale_invariance(goldens):
     for model in goldens.values():
         s = build_stack(model, 2)
         ns = left_nullspace(s.O)
-        base = extract_summary(form_iop(s, ns, discrete=model.discrete))
+        base = extract_summary(form_iop(s, ns))
         params = list(model.params())
         base_verdict = classify(base, params, mode="symbolic")
         for _ in range(2):
@@ -340,7 +340,7 @@ def test_criterion_10_scale_invariance(goldens):
                                      for row in ns.rows],
                                     ns.rank, ns.dimension)
             redone = extract_summary(
-                form_iop(s, scaled, discrete=model.discrete))
+                form_iop(s, scaled))
             assert [expr_text(e) for e in redone.elements] == \
                    [expr_text(e) for e in base.elements]
             v = classify(redone, params, mode="symbolic")

@@ -30,7 +30,7 @@ from lpvident.stacking import build_stack
 
 def _summary(model, w=2):
     s = build_stack(model, w)
-    iop = form_iop(s, left_nullspace(s.O), discrete=model.discrete)
+    iop = form_iop(s, left_nullspace(s.O))
     return iop, extract_summary(iop), list(model.params())
 
 
@@ -307,6 +307,34 @@ def test_denominator_vanishes_at_reference():
                          {t1: Fraction(1), t2: Fraction(0)})
 
 
+def test_numeric_mode_redraws_off_the_denominator_variety(monkeypatch):
+    # theta1/(theta1 - 2) has no value at theta1 = 2: that draw is dropped
+    # and the trial runs at the next one; twenty such draws give up
+    classify_mod = importlib.import_module("lpvident.classify")
+    t1 = parameter("theta1", 1)
+    summ = ExhaustiveSummary(
+        [Expression(Polynomial.var(t1), Polynomial.var(t1) - 2)])
+    draws = [{t1: Fraction(2)}, {t1: Fraction(5)}]
+    monkeypatch.setattr(classify_mod, "draw_theta_ref",
+                        lambda params, rng: draws.pop(0))
+    v = classify(summ, [t1], trials=1)
+    assert draws == []
+    assert v.evidence[0]["theta_ref"] == {"theta1": "5"}
+    assert v.evidence[0]["basis"] == ["theta1 - 5"]
+    assert _statuses(v) == {"theta1": "Global"}
+
+    calls = []
+
+    def vanishing(params, rng):
+        calls.append(params)
+        return {t1: Fraction(2)}
+
+    monkeypatch.setattr(classify_mod, "draw_theta_ref", vanishing)
+    with pytest.raises(DenominatorVanishesAtTheta, match="could not draw"):
+        classify(summ, [t1], trials=1)
+    assert len(calls) == 20
+
+
 JACOBIAN_GOLDENS = {
     "product_coupling": (UNDETERMINED, 2, 3, True),
     "shared_gain": (LOCAL, 3, 3, True),
@@ -385,7 +413,7 @@ def _first_iop(model, wmax):
         ns = left_nullspace(s.O)
         if ns.rows:
             try:
-                return form_iop(s, ns, discrete=model.discrete)
+                return form_iop(s, ns)
             except EmptyNullspace:
                 continue
     return None
@@ -414,7 +442,8 @@ def test_jacobian_ranks_match_partial_derivative_oracle(goldens,
         seen.append((rows, real_rank(rows)))
         return seen[-1][1]
 
-    monkeypatch.setattr(elimination, "rank_rational", recorded)
+    monkeypatch.setattr(importlib.import_module("lpvident.classify"),
+                        "rank_rational", recorded)
     for iop, params in cases:
         for seed in (0, 1):
             seen.clear()

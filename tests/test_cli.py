@@ -238,6 +238,53 @@ def test_sweep_waits_for_every_output(tmp_path, capsys, command):
         assert report["verdict"]["achieved_at_order"] == 2
 
 
+# theta1 sits on x1, which never reaches the output
+UNOBSERVABLE_THETA = ("time: discrete\nstates: x1, x2\ninputs: u\n"
+                      "outputs: y\nparams: theta1\nA: [theta1, 0; 0, 1/2]\n"
+                      "B: [1; 1]\nC: [0, 1]\n")
+
+
+def test_parameter_free_summary(tmp_path, capsys):
+    path = tmp_path / "unobservable.lpv"
+    path.write_text(UNOBSERVABLE_THETA)
+    code, report, _ = _run_json(capsys, "analyze", path)
+    assert code == 0
+    verdict = report["verdict"]
+    assert verdict["model"] == "NonIdentifiable"
+    assert verdict["parameters"]["theta1"]["status"] == "NonIdentifiable"
+    assert verdict["summary"] == []
+    assert verdict["evidence"] == [
+        {"note": "exhaustive summary carries no parameter dependence"}]
+    assert report["timings"]["classification_runs"] == 0
+    code, out, _ = _run(capsys, "iop", path, "--order", "1")
+    assert code == 0
+    assert "  psi: 2*y[k+1] - y[k] - 2*u[k]\n" in out
+    assert "  no parameter dependence in the summary\n" in out
+    assert "  summary: {}\n" in out
+
+
+def test_text_report_guidance_and_cross_check_lines(capsys):
+    code, out, _ = _run(capsys, "analyze", model_path("product_coupling"),
+                        "--max-order", "1")
+    assert code == 3
+    assert ("guidance: no covering equation set up to order 1; "
+            "raise --max-order\n") in out
+    code, out, _ = _run(capsys, "analyze", model_path("shared_gain"),
+                        "--method", "both")
+    assert code == 0
+    assert "cross-check: jacobian Local, rank 3 of q=3, consistent=True\n" in out
+    assert "cross-check error" not in out
+
+
+@pytest.mark.parametrize("flag,name", [("--trials", "trials"),
+                                       ("--max-order", "max order")])
+def test_nonpositive_trials_and_max_order_rejected(capsys, flag, name):
+    code, out, err = _run(capsys, "analyze", model_path("henon"), flag, "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be at least 1\n"
+
+
 def test_chain4_needs_one_basis_per_trial(tmp_path, capsys, monkeypatch):
     # lex(params) fixes all seven parameters, so no other basis is built
     classify_mod = importlib.import_module("lpvident.classify")
@@ -390,7 +437,7 @@ def test_verifier_builds_one_closure(monkeypatch, name, w):
     monkeypatch.setattr(verify, "output_closure", counting)
     m = parse_model(model_path(name).read_text(encoding="utf-8"))
     stack = build_stack(m, w)
-    iop = form_iop(stack, left_nullspace(stack.O), discrete=m.discrete)
+    iop = form_iop(stack, left_nullspace(stack.O))
     out = _run_verifier(m, stack, iop, AnalysisConfig(),
                         {"verifier_checks": 0})
     assert calls == [stack.order] == [w]
@@ -415,7 +462,7 @@ def test_verifier_runs_a_trajectory_window_at_any_order():
     m = parse_model("time: discrete\nstates: x1\ninputs: u\noutputs: y\n"
                     "params: theta1\nA: [theta1]\nB: [1]\nC: [1]")
     stack = build_stack(m, 12)
-    iop = form_iop(stack, left_nullspace(stack.O), discrete=True)
+    iop = form_iop(stack, left_nullspace(stack.O))
     out = _run_verifier(m, stack, iop, AnalysisConfig(),
                         {"verifier_checks": 0})
     assert out["trajectory"] == {"ok": True, "windows": 1,

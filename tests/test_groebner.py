@@ -1,12 +1,13 @@
 """Buchberger engine over the reference-parameter coefficient field."""
 
+import importlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import is_groebner, model_path
+from conftest import GOLDEN_NAMES, is_groebner, model_path
 from lpvident.classify import evaluate_summary
 from lpvident.cli import main
 from lpvident.elimination import left_nullspace
@@ -32,7 +33,7 @@ XY = [X, Y]
 
 def _summary_and_params(model, w=2):
     s = build_stack(model, w)
-    iop = form_iop(s, left_nullspace(s.O), discrete=model.discrete)
+    iop = form_iop(s, left_nullspace(s.O))
     return extract_summary(iop), list(model.params())
 
 
@@ -179,6 +180,36 @@ def test_reduced_basis_properties(goldens):
             for m in g.terms:
                 assert not any(divides(leads[j], m)
                                for j in range(len(leads)) if j != i)
+
+
+def test_every_basis_member_is_monic(capsys, monkeypatch):
+    # reduce_gpoly and s_polynomial divide by no leading coefficient, which
+    # is right only while every basis member is monic: check the reducers of
+    # every reduction and the generators of every basis analyze builds
+    groebner_mod = importlib.import_module("lpvident.groebner")
+    classify_mod = importlib.import_module("lpvident.classify")
+    real_reduce = groebner_mod.reduce_gpoly
+    reductions, bases = [], []
+
+    def checked_reduce(f, basis):
+        assert all(g.leading()[1] == 1 for g in basis)
+        reductions.append(len(basis))
+        return real_reduce(f, basis)
+
+    def recorded_basis(*args, **kwargs):
+        bases.append(groebner_basis(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(groebner_mod, "reduce_gpoly", checked_reduce)
+    monkeypatch.setattr(classify_mod, "groebner_basis", recorded_basis)
+    for name in GOLDEN_NAMES:
+        for mode in ("numeric", "symbolic"):
+            assert main(["analyze", str(model_path(name)),
+                         "--mode", mode]) == 0
+            capsys.readouterr()
+    assert len(bases) > 10 and len(reductions) > 100
+    for gb in bases:
+        assert all(g.leading()[1] == 1 for g in gb.generators)
 
 
 def test_univariate_members(shared_gain, air_handling_unit):

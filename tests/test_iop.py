@@ -1,5 +1,6 @@
 """Input-output-parameter equations and exhaustive summary extraction."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,13 @@ from lpvident.iop import (ExhaustiveSummary, _ranked_groups, extract_summary,
                           form_iop)
 from lpvident.model import parse_model
 from lpvident.poly import Polynomial, collect, mono_key, poly_text
-from lpvident.stacking import StackedSystem, build_stack
+from lpvident.stacking import build_stack
 
 
 def _pipeline(model, w=2):
     s = build_stack(model, w)
     ns = left_nullspace(s.O)
-    iop = form_iop(s, ns, discrete=model.discrete)
+    iop = form_iop(s, ns)
     return s, iop, extract_summary(iop)
 
 
@@ -289,7 +290,7 @@ def test_summary_matches_two_pass_normalizer_oracle(goldens):
             ns = left_nullspace(s.O)
             if not ns.rows:
                 continue
-            iop = form_iop(s, ns, discrete=model.discrete)
+            iop = form_iop(s, ns)
             want = _two_pass_summary(iop)
             if not want:
                 with pytest.raises(NoParameterDependence):
@@ -318,13 +319,27 @@ def test_scale_invariance_theta_rational_times_monomial(product_coupling,
     for model, make in cases:
         s = build_stack(model, 2)
         ns = left_nullspace(s.O)
-        base = extract_summary(form_iop(s, ns, discrete=model.discrete))
+        base = extract_summary(form_iop(s, ns))
         lam = make(model, s)
         scaled_rows = [[w * lam for w in row] for row in ns.rows]
         scaled = NullspaceBasis(scaled_rows, ns.rank, ns.dimension)
-        redone = extract_summary(form_iop(s, scaled, discrete=model.discrete))
+        redone = extract_summary(form_iop(s, scaled))
         assert [expr_text(e) for e in redone.elements] == \
                [expr_text(e) for e in base.elements]
+
+
+def test_form_iop_takes_the_time_domain_from_the_stack():
+    for time in ("continuous", "discrete"):
+        m = parse_model(f"time: {time}\nstates: x1\ninputs: u\n"
+                        "outputs: y\nparams: theta1\nA: [theta1]\nB: [1]\n"
+                        "C: [1]")
+        s = build_stack(m, 1)
+        ns = left_nullspace(s.O)
+        assert s.discrete is m.discrete
+        assert form_iop(s, ns).discrete is m.discrete
+        assert form_iop(s, ns, m.discrete).discrete is m.discrete
+        with pytest.raises(ValueError, match="time domain"):
+            form_iop(s, ns, not m.discrete)
 
 
 def test_empty_nullspace_raises():
@@ -338,8 +353,7 @@ def test_state_not_eliminated_raises():
     m = parse_model("time: continuous\nparams: theta1\nA: [theta1]\nC: [1]")
     s = build_stack(m, 1)
     leaked = Expression(Polynomial.var(m.states()[0]))
-    tampered = StackedSystem(s.order, s.O, s.G,
-                             [leaked] + s.Y0[1:], s.X, s.U)
+    tampered = dataclasses.replace(s, Y0=[leaked] + s.Y0[1:])
     with pytest.raises(StateNotEliminated):
         form_iop(tampered, left_nullspace(s.O))
 

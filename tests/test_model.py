@@ -197,6 +197,18 @@ def test_clean_model_has_no_warnings(product_coupling):
     assert product_coupling.warnings == ()
 
 
+def test_print_model_round_trip_keeps_scheduling():
+    m = parse_model("time: discrete\nstates: x1\ninputs: u\noutputs: y\n"
+                    "scheduling: r\nparams: theta1, theta2\n"
+                    "A: [theta1*r]\nB: [theta2]\nC: [1]")
+    text = print_model(m)
+    assert "scheduling: r\n" in text
+    again = parse_model(text)
+    assert again.sched_names == m.sched_names == ("r",)
+    assert (again.A, again.B, again.C, again.D) == (m.A, m.B, m.C, m.D)
+    assert print_model(again) == text
+
+
 def test_print_model_round_trip(goldens):
     # a model without parameters prints no "params:" line, which the parser
     # would reject as an empty list

@@ -22,7 +22,7 @@ from lpvident.verify import (backsubstitute_check, discrete_trajectory_check,
 
 def _iop(model, w=2):
     s = build_stack(model, w)
-    return s, form_iop(s, left_nullspace(s.O), discrete=model.discrete)
+    return s, form_iop(s, left_nullspace(s.O))
 
 
 def _corrupt(iop):
