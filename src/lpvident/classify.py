@@ -245,10 +245,12 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
                         seed: int = 0) -> Verdict:
     """One-sided local test: rank of d(psi)/d(theta) at random points.
 
-    When there are fewer equations than parameters the set is augmented by
-    time-differentiating (or shifting) the equations round-robin, lowest
-    order first, using that the parameters are constant in time.  Full rank
-    q certifies local identifiability; anything less is Undetermined.
+    When fewer equations hold a parameter than there are parameters, the
+    set is augmented by time-differentiating (or shifting) those equations
+    round-robin, lowest order first, using that the parameters are constant
+    in time.  A derived equation that has lost every parameter is dropped,
+    and augmentation stops when none is left.  Full rank q certifies local
+    identifiability; anything less is Undetermined.
 
     At each point the rank is taken of J diag(theta), each row scaled by its
     equation's common denominator (`Polynomial.term_values`): row i holds
@@ -260,10 +262,16 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
     q = len(params)
     if q and not iop.equations:
         raise ValueError("no equations to augment to the parameter count")
-    eqs = src = list(iop.equations)
-    while len(eqs) < q:
-        src = [e.shift() if iop.discrete else e.differentiate() for e in src]
-        eqs = eqs + src[:q - len(eqs)]
+    theta = set(params)
+    eqs = list(iop.equations)
+    src = [e for e in eqs if not theta.isdisjoint(e.indeterminates())]
+    need = q - len(src)
+    while src and need > 0:
+        src = [d for d in (e.shift() if iop.discrete else e.differentiate()
+                           for e in src)
+               if not theta.isdisjoint(d.indeterminates())]
+        eqs += src[:need]
+        need -= len(src[:need])
     augmented = len(eqs) > len(iop.equations)
 
     col = {p: j for j, p in enumerate(params)}

@@ -11,7 +11,9 @@ artifacts at one fixed order.  Each subcommand accepts only the flags it
 reads, plus ``--seed`` and ``--format``; the report's config block shows
 the defaults of the rest.  Reports are byte-identical for identical
 (model, flags, seed) inputs, so the timings block holds exact operation
-counts instead of wall-clock times.
+counts instead of wall-clock times.  They are read off the report itself:
+each traced order built one stack and one null space, and a verifier block
+counts two symbolic checks plus one trajectory check in discrete time.
 
 Exit codes: 0 success / determinate verdict; 1 verifier failure or engine
 disagreement; 2 model or usage error; 3 Undetermined verdict (budget
@@ -26,7 +28,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import verify
@@ -66,11 +68,6 @@ class AnalysisConfig:
             raise ValueError("budgets must be positive")
 
 
-def _new_counters() -> dict:
-    return {"stack_builds": 0, "nullspace_calls": 0, "classification_runs": 0,
-            "jacobian_runs": 0, "verifier_checks": 0}
-
-
 def _cap(model, config: AnalysisConfig) -> int:
     return model.n if config.max_order is None else config.max_order
 
@@ -83,12 +80,10 @@ def _size_guidance(exc: OrderTooLargeForBudget) -> str:
     return f"{exc}; raise --size-cap or lower --max-order"
 
 
-def _at_order(model, w: int, config: AnalysisConfig, counters: dict) -> tuple:
+def _at_order(model, w: int, config: AnalysisConfig) -> tuple:
     """(trace entry, stack, null space, equations or None) at order w."""
     stack = build_stack(model, w, config.size_cap)
-    counters["stack_builds"] += 1
     ns = left_nullspace(stack.O)
-    counters["nullspace_calls"] += 1
     iop = form_iop(stack, ns) if ns.dimension else None
     covered = set()
     if iop is not None:
@@ -107,12 +102,12 @@ def _at_order(model, w: int, config: AnalysisConfig, counters: dict) -> tuple:
     return entry, stack, ns, iop
 
 
-def _sweep(model, config: AnalysisConfig, counters: dict, trace: list):
+def _sweep(model, config: AnalysisConfig, trace: list):
     """Yield (w, stack, iop) for each w <= cap whose equations cover every
     output; every order swept lands in the trace."""
     wanted = set(model.output_names)
     for w in range(_cap(model, config) + 1):
-        entry, stack, _, iop = _at_order(model, w, config, counters)
+        entry, stack, _, iop = _at_order(model, w, config)
         trace.append(entry)
         if iop is not None and wanted <= set(entry["covered_outputs"]):
             yield w, stack, iop
@@ -131,20 +126,17 @@ def _undetermined(model, config: AnalysisConfig, method: str,
     return verdict, guidance or f"{_no_cover(model, config)}; raise --max-order"
 
 
-def _run_engines(iop, summary, model, config: AnalysisConfig, counters: dict):
+def _run_engines(iop, summary, model, config: AnalysisConfig):
     """Classify with the configured engine(s); Groebner is authoritative."""
     params = model.params()
     if config.method == "jacobian":
         v = jacobian_local_test(iop, params, config.trials, config.seed)
-        counters["jacobian_runs"] += 1
         return v, None
     v = classify(summary, params, config.mode, config.trials, config.seed,
                  config.pair_budget, config.degree_budget)
-    counters["classification_runs"] += 1
     cross = None
     if config.method == "both":
         jv = jacobian_local_test(iop, params, config.trials, config.seed)
-        counters["jacobian_runs"] += 1
         rank_q = jv.evidence[0]["max_rank"] == jv.evidence[0]["q"]
         consistent = rank_q if v.model_status in (GLOBAL, LOCAL) else True
         cross = {
@@ -160,7 +152,7 @@ def _run_engines(iop, summary, model, config: AnalysisConfig, counters: dict):
     return v, cross
 
 
-def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
+def _run_verifier(model, stack, iop, config: AnalysisConfig):
     # one order-w closure serves both symbolic checks; it is looked up on
     # the module so that a wrapper set on verify.output_closure sees it
     closure = verify.output_closure(model, stack.order)
@@ -169,7 +161,6 @@ def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
         "stack_substitution": stack_substitution_check(closure, stack),
         "trajectory": None,
     }
-    counters["verifier_checks"] += 2
     if model.discrete:
         theta = draw_theta_ref(model.params(), random.Random(config.seed))
         rep = discrete_trajectory_check(model, iop, theta,
@@ -177,7 +168,6 @@ def _run_verifier(model, stack, iop, config: AnalysisConfig, counters: dict):
                                         seed=config.seed)
         out["trajectory"] = {"ok": rep.ok, "windows": rep.windows,
                              "max_residual": str(rep.max_residual)}
-        counters["verifier_checks"] += 1
     return out
 
 
@@ -222,25 +212,26 @@ def _verdict_block(verdict, achieved, summary_texts, cross, guidance) -> dict:
 
 
 def _report(command: str, model, config: AnalysisConfig, trace: list,
-            counters: dict, verdict=None, verifier=None) -> dict:
+            runs: tuple, verdict=None, verifier=None) -> dict:
+    """The report; runs is (classification runs, Jacobian runs)."""
+    settings = asdict(config)
+    del settings["fmt"]
+    checks = 0
+    if verifier is not None and "notice" not in verifier:
+        checks = 2 + (verifier["trajectory"] is not None)
     return {
         "model": _model_block(model),
-        "config": {
-            "command": command,
-            "max_order": _cap(model, config),
-            "method": config.method,
-            "mode": config.mode,
-            "trials": config.trials,
-            "seed": config.seed,
-            "pair_budget": config.pair_budget,
-            "degree_budget": config.degree_budget,
-            "size_cap": config.size_cap,
-        },
+        "config": {**settings, "command": command,
+                   "max_order": _cap(model, config)},
         "trace": trace,
         "verdict": verdict,
         "verifier": verifier,
         "timings": {"units": "exact operation counts (deterministic)",
-                    **counters},
+                    "stack_builds": len(trace),
+                    "nullspace_calls": len(trace),
+                    "classification_runs": runs[0],
+                    "jacobian_runs": runs[1],
+                    "verifier_checks": checks},
     }
 
 
@@ -312,11 +303,11 @@ def _emit(report: dict, fmt: str) -> str:
 # --- subcommands ---
 
 def run_analyze(model, config: AnalysisConfig) -> tuple:
-    counters = _new_counters()
     trace: list = []
     verdict = achieved = summary_texts = cross = guidance = deepest = None
+    engine_runs = 0
     try:
-        for w, stack, iop in _sweep(model, config, counters, trace):
+        for w, stack, iop in _sweep(model, config, trace):
             deepest = (stack, iop)
             achieved = w
             try:
@@ -330,8 +321,8 @@ def run_analyze(model, config: AnalysisConfig) -> tuple:
                 summary_texts = []
                 continue
             summary_texts = [expr_text(e) for e in summary.elements]
-            verdict, cross = _run_engines(iop, summary, model, config,
-                                          counters)
+            verdict, cross = _run_engines(iop, summary, model, config)
+            engine_runs += 1
             if verdict.model_status in (GLOBAL, LOCAL):
                 break
     except OrderTooLargeForBudget as exc:
@@ -341,9 +332,10 @@ def run_analyze(model, config: AnalysisConfig) -> tuple:
                                           guidance)
     verifier = None
     if deepest is not None:
-        verifier = _run_verifier(model, deepest[0], deepest[1], config,
-                                 counters)
-    report = _report("analyze", model, config, trace, counters,
+        verifier = _run_verifier(model, deepest[0], deepest[1], config)
+    runs = (0 if config.method == "jacobian" else engine_runs,
+            0 if config.method == "groebner" else engine_runs)
+    report = _report("analyze", model, config, trace, runs,
                      _verdict_block(verdict, achieved, summary_texts, cross,
                                     guidance), verifier)
     if cross is not None and not cross["consistent"]:
@@ -354,28 +346,26 @@ def run_analyze(model, config: AnalysisConfig) -> tuple:
 
 
 def run_local(model, config: AnalysisConfig) -> tuple:
-    counters = _new_counters()
     trace: list = []
     verdict = achieved = guidance = None
     try:
-        for w, _, iop in _sweep(model, config, counters, trace):
+        for w, _, iop in _sweep(model, config, trace):
             achieved = w
             verdict = jacobian_local_test(iop, model.params(), config.trials,
                                           config.seed)
-            counters["jacobian_runs"] += 1
             break
     except OrderTooLargeForBudget as exc:
         guidance = _size_guidance(exc)
     if verdict is None:
         verdict, guidance = _undetermined(model, config, "jacobian", guidance)
-    report = _report("local", model, config, trace, counters,
+    report = _report("local", model, config, trace,
+                     (0, int(achieved is not None)),
                      _verdict_block(verdict, achieved, None, None, guidance))
     return report, 0 if verdict.model_status == LOCAL else 3
 
 
 def run_iop(model, config: AnalysisConfig, w: int) -> tuple:
-    counters = _new_counters()
-    entry, stack, ns, iop = _at_order(model, w, config, counters)
+    entry, stack, ns, iop = _at_order(model, w, config)
 
     def ex(e):
         return expr_text(e, discrete=model.discrete)
@@ -394,19 +384,18 @@ def run_iop(model, config: AnalysisConfig, w: int) -> tuple:
         except NoParameterDependence:
             entry["summary"] = []
             entry["notice"] = "no parameter dependence in the summary"
-    return _report("iop", model, config, [entry], counters), 0
+    return _report("iop", model, config, [entry], (0, 0)), 0
 
 
 def run_verify(model, config: AnalysisConfig) -> tuple:
-    counters = _new_counters()
     trace: list = []
-    for _, stack, iop in _sweep(model, config, counters, trace):
-        verifier = _run_verifier(model, stack, iop, config, counters)
+    for _, stack, iop in _sweep(model, config, trace):
+        verifier = _run_verifier(model, stack, iop, config)
         break
     else:
         verifier = {"backsubstitution": False, "stack_substitution": False,
                     "trajectory": None, "notice": _no_cover(model, config)}
-    report = _report("verify", model, config, trace, counters,
+    report = _report("verify", model, config, trace, (0, 0),
                      verifier=verifier)
     return report, 0 if _verifier_ok(verifier) else 1
 
@@ -462,14 +451,9 @@ def _config_from(args) -> AnalysisConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.model).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        model = parse_model(text)
+        model = parse_model(Path(args.model).read_text(encoding="utf-8"))
         config = _config_from(args)
-    except (ModelError, ValueError) as exc:
+    except (OSError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

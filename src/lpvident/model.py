@@ -14,9 +14,11 @@ are `key: value`, separated by newlines or by `;` outside brackets:
     C: [u, 0]
     D: [0]                      (optional, defaults to zero)
 
-Matrix entries are arithmetic over declared names with + - * / ^ (integer
-power), parentheses and rational literals.  Matrices may span lines until
-the closing bracket.  Missing `states:`/`outputs:` sections are auto-named
+Inside a matrix `;` splits rows and `,` splits entries, and a name list
+splits on `,`; every split is made outside nested brackets.  Matrix entries
+are arithmetic over declared names with + - * / ^ (integer power),
+parentheses and rational literals.  Matrices may span lines until the
+closing bracket.  Missing `states:`/`outputs:` sections are auto-named
 x1../y1.. from the A/C row counts, and a missing `params:` section infers
 names of the form theta<digits> used in entries; any other undeclared name
 is an error.  Outputs may appear in A and B entries (output-scheduled
@@ -41,15 +43,12 @@ _MATRICES = ("A", "B", "C", "D")
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
+    """A model warning; errors are raised, never collected."""
     code: str
     message: str
-    line: int
-    col: int
 
     def render(self) -> str:
-        where = f" (line {self.line}, col {self.col})" if self.line else ""
-        return f"{self.severity}: {self.message}{where}"
+        return f"warning: {self.message}"
 
 
 @dataclass
@@ -107,7 +106,7 @@ class LpvModel:
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<nl>\n)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
-    r"|(?P<punct>[-+*/^()\[\],;:])")
+    r"|(?P<punct>[-+*/^()\[\],;:])|(?P<bad>.)")
 
 
 @dataclass(frozen=True)
@@ -120,32 +119,24 @@ class _Tok:
 
 def _tokenize(text: str) -> list:
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        s = m.group()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "bad":
+            raise ModelSyntaxError(f"unexpected character {m.group()!r}", line, col)
+        if kind not in ("ws", "comment"):
+            toks.append(_Tok(kind, m.group(), line, col))
         if kind == "nl":
-            toks.append(_Tok("nl", s, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(_Tok(kind, s, line, col))
-            col += len(s)
-        pos = m.end()
+            line, line_start = line + 1, m.end()
     return toks
 
 
-# --- statement splitting ---
+# --- splitting ---
 
-def _split_statements(toks: list) -> list:
-    """Group tokens into statements; `;` and newlines split at depth 0."""
-    stmts = []
-    cur: list = []
+def _split(toks: list, separators: tuple) -> list:
+    """Split tokens at the separators outside brackets, dropping the newline
+    tokens inside them; empty parts are kept."""
+    parts: list = [[]]
     depth = 0
     for t in toks:
         if t.kind == "punct" and t.text == "[":
@@ -154,18 +145,14 @@ def _split_statements(toks: list) -> list:
             depth -= 1
             if depth < 0:
                 raise ModelSyntaxError("unbalanced ']'", t.line, t.col)
-        if depth == 0 and (t.kind == "nl" or (t.kind == "punct" and t.text == ";")):
-            if cur:
-                stmts.append(cur)
-                cur = []
-            continue
-        if t.kind != "nl":
-            cur.append(t)
+        if depth == 0 and t.text in separators:
+            parts.append([])
+        elif t.kind != "nl":
+            parts[-1].append(t)
     if depth != 0:
-        raise ModelSyntaxError("unbalanced '['", cur[-1].line if cur else 0, 0)
-    if cur:
-        stmts.append(cur)
-    return stmts
+        last = parts[-1]
+        raise ModelSyntaxError("unbalanced '['", last[-1].line if last else 0, 0)
+    return parts
 
 
 # --- entry expression parser ---
@@ -187,6 +174,14 @@ class _EntryParser:
         self.i += 1
         return t
 
+    def _op(self, ops: str):
+        """Take the next token if it is one of the operators in ops."""
+        t = self._peek()
+        if t is not None and t.kind == "punct" and t.text in ops:
+            self.i += 1
+            return t
+        return None
+
     def parse(self) -> Expression:
         e = self._expr()
         t = self._peek()
@@ -196,16 +191,14 @@ class _EntryParser:
 
     def _expr(self) -> Expression:
         e = self._term()
-        while (t := self._peek()) and t.kind == "punct" and t.text in "+-":
-            self._take()
+        while t := self._op("+-"):
             rhs = self._term()
             e = e + rhs if t.text == "+" else e - rhs
         return e
 
     def _term(self) -> Expression:
         e = self._factor()
-        while (t := self._peek()) and t.kind == "punct" and t.text in "*/":
-            self._take()
+        while t := self._op("*/"):
             rhs = self._factor()
             if t.text == "*":
                 e = e * rhs
@@ -216,30 +209,22 @@ class _EntryParser:
         return e
 
     def _factor(self) -> Expression:
-        t = self._peek()
-        if t and t.kind == "punct" and t.text in "+-":
-            self._take()
+        if t := self._op("+-"):
             e = self._factor()
             return e if t.text == "+" else -e
         return self._power()
 
     def _power(self) -> Expression:
         e = self._atom()
-        t = self._peek()
-        if t and t.kind == "punct" and t.text == "^":
-            self._take()
-            sign = 1
-            t2 = self._peek()
-            if t2 and t2.kind == "punct" and t2.text in "+-":
-                self._take()
-                sign = -1 if t2.text == "-" else 1
-            t3 = self._take()
-            if t3.kind != "int":
+        if self._op("^"):
+            sign = self._op("+-")
+            t = self._take()
+            if t.kind != "int":
                 raise ModelSyntaxError("exponent must be an integer literal",
-                                       t3.line, t3.col)
-            exp = sign * int(t3.text)
+                                       t.line, t.col)
+            exp = -int(t.text) if sign and sign.text == "-" else int(t.text)
             if exp < 0 and e.is_zero():
-                raise ModelSyntaxError("zero to a negative power", t3.line, t3.col)
+                raise ModelSyntaxError("zero to a negative power", t.line, t.col)
             e = e ** exp
         return e
 
@@ -261,28 +246,14 @@ class _EntryParser:
 
 
 def _split_matrix(toks: list):
-    """Token span 'A : [ ... ]' -> list of rows of entry token lists."""
+    """Token span '[ ... ]' -> list of rows of entry token lists."""
     if len(toks) < 2 or not (toks[0].kind == "punct" and toks[0].text == "["):
         t = toks[0] if toks else _Tok("", "", 0, 0)
         raise ModelSyntaxError("expected '[' to open matrix", t.line, t.col)
     last = toks[-1]
     if not (last.kind == "punct" and last.text == "]"):
         raise ModelSyntaxError("expected ']' to close matrix", last.line, last.col)
-    inner = toks[1:-1]
-    rows: list = [[]]
-    cur: list = []
-    for t in inner:
-        if t.kind == "punct" and t.text == ";":
-            rows[-1].append(cur)
-            cur = []
-            rows.append([])
-        elif t.kind == "punct" and t.text == ",":
-            rows[-1].append(cur)
-            cur = []
-        else:
-            cur.append(t)
-    rows[-1].append(cur)
-    return rows
+    return [_split(row, (",",)) for row in _split(toks[1:-1], (";",))]
 
 
 _THETA_RE = re.compile(r"^theta(\d+)$")
@@ -290,12 +261,10 @@ _THETA_RE = re.compile(r"^theta(\d+)$")
 
 def parse_model(text: str) -> LpvModel:
     """Parse and validate; raises on errors, keeps warnings on the model."""
-    toks = _tokenize(text)
-    stmts = _split_statements(toks)
-
-    sections: dict = {}
-    matrices: dict = {}
-    for st in stmts:
+    table: dict = {}
+    for st in _split(_tokenize(text), ("\n", ";")):
+        if not st:
+            continue
         head = st[0]
         if head.kind != "name":
             raise ModelSyntaxError(f"expected statement keyword, got {head.text!r}",
@@ -303,61 +272,55 @@ def parse_model(text: str) -> LpvModel:
         if len(st) < 2 or not (st[1].kind == "punct" and st[1].text == ":"):
             raise ModelSyntaxError("expected ':' after keyword", head.line, head.col)
         key = head.text
-        body = st[2:]
-        if key in _SECTIONS:
-            if key in sections:
-                raise ModelSyntaxError(f"duplicate section {key!r}", head.line, head.col)
-            sections[key] = (head, body)
-        elif key in _MATRICES:
-            if key in matrices:
-                raise ModelSyntaxError(f"duplicate matrix {key!r}", head.line, head.col)
-            matrices[key] = (head, body)
-        else:
+        if key not in _SECTIONS + _MATRICES:
             raise ModelSyntaxError(f"unknown statement {key!r}", head.line, head.col)
+        if key in table:
+            what = "section" if key in _SECTIONS else "matrix"
+            raise ModelSyntaxError(f"duplicate {what} {key!r}", head.line, head.col)
+        table[key] = (head, st[2:])
 
     # time
-    if "time" not in sections:
+    if "time" not in table:
         raise ModelSyntaxError("missing 'time:' statement", 1, 1)
-    thead, tbody = sections["time"]
+    thead, tbody = table["time"]
     if len(tbody) != 1 or tbody[0].kind != "name" or tbody[0].text not in ("continuous", "discrete"):
         raise ModelSyntaxError("time must be 'continuous' or 'discrete'",
                                thead.line, thead.col)
     domain = tbody[0].text
 
     def name_list(key: str) -> list:
-        if key not in sections:
+        if key not in table:
             return []
-        head, body = sections[key]
-        names = []
-        expect_name = True
-        for t in body:
-            if expect_name:
-                if t.kind != "name":
-                    raise ModelSyntaxError(f"expected name in {key!r} list", t.line, t.col)
-                names.append(t.text)
-                expect_name = False
-            else:
-                if not (t.kind == "punct" and t.text == ","):
-                    raise ModelSyntaxError(f"expected ',' in {key!r} list", t.line, t.col)
-                expect_name = True
-        if expect_name:
-            raise ModelSyntaxError(f"empty or trailing-comma {key!r} list",
-                                   head.line, head.col)
-        return names
+        head, body = table[key]
+        parts = _split(body, (",",))
+        bad = next((i for i, part in enumerate(parts)
+                    if len(part) != 1 or part[0].kind != "name"), None)
+        if bad is not None:
+            # every part before the bad one is a name and its comma
+            rest = body[2 * bad:]
+            if not rest:
+                raise ModelSyntaxError(f"empty or trailing-comma {key!r} list",
+                                       head.line, head.col)
+            t, what = ((rest[0], "name") if rest[0].kind != "name"
+                       else (rest[1], "','"))
+            raise ModelSyntaxError(f"expected {what} in {key!r} list",
+                                   t.line, t.col)
+        return [part[0].text for part in parts]
 
-    if "A" not in matrices:
+    if "A" not in table:
         raise DimensionMismatch("matrix A is required", 1, 1)
-    if "C" not in matrices:
+    if "C" not in table:
         raise DimensionMismatch("matrix C is required", 1, 1)
 
-    raw = {k: _split_matrix(v[1]) for k, v in matrices.items()}
+    raw = {k: _split_matrix(body) for k, (_, body) in table.items()
+           if k in _MATRICES}
 
     state_names = name_list("states") or [f"x{i+1}" for i in range(len(raw["A"]))]
     output_names = name_list("outputs") or [f"y{i+1}" for i in range(len(raw["C"]))]
     input_names = name_list("inputs")
     sched_names = name_list("scheduling")
     param_names = name_list("params")
-    if "params" not in sections:
+    if "params" not in table:
         found = {}
         for rows in raw.values():
             for row in rows:
@@ -395,7 +358,7 @@ def parse_model(text: str) -> LpvModel:
         if key not in raw:
             return tuple(tuple(Expression(Polynomial())
                                for _ in range(cols_exp)) for _ in range(rows_exp))
-        head = matrices[key][0]
+        head = table[key][0]
         rows = raw[key]
         if len(rows) != rows_exp:
             raise DimensionMismatch(
@@ -449,14 +412,14 @@ def validate_model(model: LpvModel) -> list:
     warnings = []
     if saw_output:
         warnings.append(ParseDiagnostic(
-            "warning", "output-premise",
+            "output-premise",
             "outputs appear in matrix entries (output-substituted quasi-LPV); "
-            "results rely on measured outputs as premise variables", 0, 0))
+            "results rely on measured outputs as premise variables"))
     if model.p and model.n and left_nullspace(model.C).rank < min(model.p, model.n):
         warnings.append(ParseDiagnostic(
-            "warning", "rank-deficient-C",
+            "rank-deficient-C",
             "C has generically deficient rank; some outputs carry no "
-            "independent state information", 0, 0))
+            "independent state information"))
     return warnings
 
 

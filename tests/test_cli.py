@@ -263,6 +263,55 @@ def test_parameter_free_summary(tmp_path, capsys):
     assert "  summary: {}\n" in out
 
 
+# C = [u, u*v; v, v^2] has rank 1, so w = 0 already gives the
+# parameter-free equation v*y1 - u*y2, which covers both outputs
+RANK_DEFICIENT_C = ("time: continuous\nstates: x1, x2\ninputs: u, v\n"
+                    "outputs: y1, y2\nparams: theta1, theta2\n"
+                    "A: [theta1, 1; 0, theta2]\nB: [1, 0; 0, 1]\n"
+                    "C: [u, u*v; v, v^2]\n")
+
+
+def test_jacobian_counts_only_equations_with_a_parameter(tmp_path, capsys):
+    path = tmp_path / "rank_deficient_c.lpv"
+    path.write_text(RANK_DEFICIENT_C)
+    # at w = 2 one of four equations holds a parameter; its derivative
+    # brings the rank to q
+    code, report, _ = _run_json(capsys, "analyze", path, "--method", "both")
+    assert code == 0
+    assert report["verdict"]["model"] == "Global"
+    assert report["verdict"]["cross_check"] == {
+        "consistent": True, "jacobian_status": "Local", "max_rank": 2,
+        "q": 2}
+    code, report, _ = _run_json(capsys, "analyze", path, "--method",
+                                "jacobian")
+    assert code == 0
+    assert report["verdict"]["model"] == "Local"
+    assert report["verdict"]["evidence"][0]["equations"] == 5
+    # the w = 0 equation holds no parameter, so there is nothing to augment
+    code, report, _ = _run_json(capsys, "local", path)
+    assert code == 3
+    evidence = report["verdict"]["evidence"][0]
+    assert (evidence["equations"], evidence["augmented"]) == (1, False)
+
+
+@pytest.mark.parametrize("name", ["air_handling_unit", "burgers_discretized"])
+@pytest.mark.parametrize("argv", [("analyze",), ("local",), ("verify",),
+                                  ("iop", "--order", "3")])
+def test_report_counts_match_trace_and_verifier(capsys, name, argv):
+    _, report, _ = _run_json(capsys, argv[0], model_path(name), *argv[1:])
+    counts = report["timings"]
+    assert (counts["stack_builds"] == counts["nullspace_calls"]
+            == len(report["trace"]))
+    verifier = report["verifier"]
+    if argv[0] in ("local", "iop"):
+        assert verifier is None
+        assert counts["verifier_checks"] == 0
+    else:
+        discrete = report["model"]["domain"] == "discrete"
+        assert (verifier["trajectory"] is not None) is discrete
+        assert counts["verifier_checks"] == 2 + discrete
+
+
 def test_text_report_guidance_and_cross_check_lines(capsys):
     code, out, _ = _run(capsys, "analyze", model_path("product_coupling"),
                         "--max-order", "1")
@@ -438,8 +487,7 @@ def test_verifier_builds_one_closure(monkeypatch, name, w):
     m = parse_model(model_path(name).read_text(encoding="utf-8"))
     stack = build_stack(m, w)
     iop = form_iop(stack, left_nullspace(stack.O))
-    out = _run_verifier(m, stack, iop, AnalysisConfig(),
-                        {"verifier_checks": 0})
+    out = _run_verifier(m, stack, iop, AnalysisConfig())
     assert calls == [stack.order] == [w]
     assert out["backsubstitution"] and out["stack_substitution"]
 
@@ -463,8 +511,7 @@ def test_verifier_runs_a_trajectory_window_at_any_order():
                     "params: theta1\nA: [theta1]\nB: [1]\nC: [1]")
     stack = build_stack(m, 12)
     iop = form_iop(stack, left_nullspace(stack.O))
-    out = _run_verifier(m, stack, iop, AnalysisConfig(),
-                        {"verifier_checks": 0})
+    out = _run_verifier(m, stack, iop, AnalysisConfig())
     assert out["trajectory"] == {"ok": True, "windows": 1,
                                  "max_residual": "0"}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lpvident.errors import (DimensionMismatch, ModelSyntaxError,
+from lpvident.errors import (DimensionMismatch, ModelError, ModelSyntaxError,
                              NotAffineInParameters, StateInMatrixEntry,
                              UnknownSymbol)
 from lpvident.expr import expr_text
@@ -223,3 +223,42 @@ def test_print_model_round_trip(goldens):
         assert again.B == m.B
         assert again.C == m.C
         assert again.D == m.D
+
+
+# (model text, exception class, message, line, col): each malformed input
+# fails at the first check it breaks, at that token's position
+MALFORMED = [
+    ("time: continuous\nA: [1, 0\nC: [1]\n",
+     ModelSyntaxError, "unbalanced '['", 3, 0),
+    ("time: continuous\nA: [1]]\nC: [1]\n",
+     ModelSyntaxError, "unbalanced ']'", 2, 7),
+    ("time: continuous\nstates: x1 x2\nA: [1, 0; 0, 1]\nC: [1, 0]\n",
+     ModelSyntaxError, "expected ',' in 'states' list", 2, 12),
+    ("time: continuous\nstates: , x1\nA: [1]\nC: [1]\n",
+     ModelSyntaxError, "expected name in 'states' list", 2, 9),
+    ("time: continuous\nstates: x1,\nA: [1]\nC: [1]\n",
+     ModelSyntaxError, "empty or trailing-comma 'states' list", 2, 1),
+    ("time: continuous\nstates: x1,, x2\nA: [1, 0; 0, 1]\nC: [1, 0]\n",
+     ModelSyntaxError, "expected name in 'states' list", 2, 12),
+    ("time: continuous\nstates: x1\nstates: x2\nA: [1]\nC: [1]\n",
+     ModelSyntaxError, "duplicate section 'states'", 3, 1),
+    ("time: continuous\nA: [1]\nC: [1]\nA: [2]\n",
+     ModelSyntaxError, "duplicate matrix 'A'", 4, 1),
+    ("time: continuous\nE: [1]\nA: [1]\nC: [1]\n",
+     ModelSyntaxError, "unknown statement 'E'", 2, 1),
+    ("time: continuous\nstates: x1, x2\nA: [1, 0; 0, 1]\nC: [1, ]\n",
+     ModelSyntaxError, "unexpected end of entry", 0, 0),
+    ("time: continuous\nparams: theta1\nA: [theta1, 1;\n    0, gamma]\n"
+     "C: [1, 0]\n", UnknownSymbol, "undeclared name 'gamma'", 4, 8),
+    ("time: continuous; params: theta1; A: [gamma]; C: [1]\n",
+     UnknownSymbol, "undeclared name 'gamma'", 1, 39),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,line,col", MALFORMED)
+def test_malformed_model_location(text, cls, message, line, col):
+    with pytest.raises(ModelError) as info:
+        parse_model(text)
+    assert type(info.value) is cls
+    assert (info.value.message, info.value.line, info.value.col) == (
+        message, line, col)
