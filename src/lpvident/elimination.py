@@ -10,10 +10,10 @@ denominator product; the scale is restored on the computed null-space
 vectors.  Back-substitution stays polynomial too: the free entry is set to
 the last pivot d, the rank-r minor of the pivot columns, so by Cramer's rule
 every other entry is a minor and each division by a pivot is exact.
-Returned basis rows are divided by their full polynomial content (gcd
-across entries, folded from the entry with the fewest terms up) and
-sign-normalized, which pins a one-dimensional null-space row uniquely up to
-nothing at all.
+Returned basis rows are divided by their polynomial gcd (folded from the
+entry with the fewest terms up) and made `poly.primitive_parts`: integer,
+content-free, first nonzero entry with a positive leading coefficient,
+which pins a one-dimensional null-space row uniquely.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from math import gcd, lcm
 
 from .expr import Expression, clear_denominators
 from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
-                   poly_text, rational_content)
+                   poly_text, primitive_parts)
 
 
 @dataclass
@@ -170,14 +170,5 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
 def _normalize_row(row: list) -> list:
     content = poly_gcd(*row)
     if not content.is_zero() and content != ONE:
-        row = [exact_div(p, content) if not p.is_zero() else p for p in row]
-    # joint rational content: make the row integer, primitive, and give the
-    # first nonzero entry a positive leading coefficient
-    cont = rational_content(row)
-    if cont:
-        scale = 1 / cont
-        lead = next(p for p in row if not p.is_zero())
-        if lead.leading()[1] < 0:
-            scale = -scale
-        row = [p.scale(scale) for p in row]
-    return [Expression(p) for p in row]
+        row = [exact_div(p, content) for p in row]
+    return [Expression(p) for p in primitive_parts(row)]

@@ -8,8 +8,9 @@ Substitution into a polynomial brings every term over one common
 denominator (the product of each binding's denominator raised to the
 largest exponent of its indeterminate), sums the numerators in one term
 dict and normalises once; the canonical form makes the result the same as
-adding the substituted terms one by one.  `dot` sums products of
-expressions the same way.
+adding the substituted terms one by one; `dot` sums products of
+expressions the same way.  `Expression.substitute` is the one entry point,
+and reads only the bindings of the expression's own indeterminates.
 """
 from __future__ import annotations
 
@@ -153,16 +154,19 @@ class Expression:
     def substitute(self, bindings: dict) -> "Expression":
         """Simultaneous substitution of indeterminates by expressions.
 
-        Bound indeterminates must not occur in any replacement value.
+        Reads only the bindings of self's indeterminates (self comes back
+        when none is bound); a value it uses must not mention a bound one.
         """
-        bound = set(bindings)
-        for val in bindings.values():
-            if _expr(val).indeterminates() & bound:
+        used = {v: bindings[v] for v in self.indeterminates() if v in bindings}
+        if not used:
+            return self
+        for val in used.values():
+            if any(v in bindings for v in _expr(val).indeterminates()):
                 raise ValueError("substitution values mention bound indeterminates")
-        num = substitute_poly(self.num, bindings)
+        num = substitute_poly(self.num, used)
         if self.den == ONE:
             return num
-        den = substitute_poly(self.den, bindings)
+        den = substitute_poly(self.den, used)
         if den.is_zero():
             raise DenominatorVanishes("denominator vanishes under substitution")
         return num / den

@@ -7,8 +7,10 @@ equation, the ratios of signal-monomial coefficients to one distinguished
 normalizer coefficient, chosen in `extract_summary`: the coefficient of the
 highest-ranked signal monomial under (max output derivative/shift order,
 total degree, canonical order).  Ratios that still depend on the parameters
-form the summary; ratios are stored with primitive numerator and
-denominator, so two elements equal up to rational scale collapse to one.
+form the summary.  An element is built once, as the quotient of two
+primitive parts with positive leading coefficients, the coefficient's over
+the normalizer's; by Gauss's lemma the reduced quotient keeps primitive
+numerator and denominator, so elements equal up to scale collapse to one.
 """
 from __future__ import annotations
 
@@ -97,22 +99,15 @@ def extract_summary(iop: IopSet) -> ExhaustiveSummary:
     seen = set()
     for psi in iop.equations:
         groups = _ranked_groups(psi)
-        norm = Expression(groups[0][1])
+        norm = groups[0][1].primitive()
         for _, coeff in groups:
-            ratio = Expression(coeff) / norm
-            if not ratio.indeterminates():
-                continue  # constant ratio carries no parameter information
-            rep = _canonical_element(ratio)
-            if rep in seen:
+            element = Expression(coeff.primitive(), norm)
+            # a constant ratio carries no parameter information
+            if element.is_constant() or element in seen:
                 continue
-            seen.add(rep)
-            elements.append(rep)
+            seen.add(element)
+            elements.append(element)
     if not elements:
         raise NoParameterDependence(
             "no summary element depends on the parameters")
     return ExhaustiveSummary(elements)
-
-
-def _canonical_element(ratio: Expression) -> Expression:
-    """Scale-free representative: primitive numerator and denominator."""
-    return Expression(ratio.num.primitive(), ratio.den)

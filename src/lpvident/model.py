@@ -137,31 +137,32 @@ def _split(toks: list, separators: tuple) -> list:
     """Split tokens at the separators outside brackets, dropping the newline
     tokens inside them; empty parts are kept."""
     parts: list = [[]]
-    depth = 0
+    opened = []   # the '[' tokens not yet closed
     for t in toks:
         if t.kind == "punct" and t.text == "[":
-            depth += 1
+            opened.append(t)
         elif t.kind == "punct" and t.text == "]":
-            depth -= 1
-            if depth < 0:
+            if not opened:
                 raise ModelSyntaxError("unbalanced ']'", t.line, t.col)
-        if depth == 0 and t.text in separators:
+            opened.pop()
+        if not opened and t.text in separators:
             parts.append([])
         elif t.kind != "nl":
             parts[-1].append(t)
-    if depth != 0:
-        last = parts[-1]
-        raise ModelSyntaxError("unbalanced '['", last[-1].line if last else 0, 0)
+    if opened:
+        raise ModelSyntaxError("unbalanced '['", opened[0].line, opened[0].col)
     return parts
 
 
 # --- entry expression parser ---
 
 class _EntryParser:
-    def __init__(self, toks: list, symbols: dict):
+    def __init__(self, toks: list, symbols: dict, key: _Tok):
         self.toks = toks
         self.i = 0
         self.symbols = symbols
+        # where the entry ends; an empty entry at its matrix's key token
+        self.end = toks[-1] if toks else key
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -169,8 +170,8 @@ class _EntryParser:
     def _take(self):
         t = self._peek()
         if t is None:
-            last = self.toks[-1] if self.toks else _Tok("", "", 0, 0)
-            raise ModelSyntaxError("unexpected end of entry", last.line, last.col)
+            raise ModelSyntaxError("unexpected end of entry", self.end.line,
+                                   self.end.col)
         self.i += 1
         return t
 
@@ -245,10 +246,10 @@ class _EntryParser:
         raise ModelSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
 
 
-def _split_matrix(toks: list):
-    """Token span '[ ... ]' -> list of rows of entry token lists."""
+def _split_matrix(key: _Tok, toks: list):
+    """Token span '[ ... ]' of the matrix `key` -> rows of entry tokens."""
     if len(toks) < 2 or not (toks[0].kind == "punct" and toks[0].text == "["):
-        t = toks[0] if toks else _Tok("", "", 0, 0)
+        t = toks[0] if toks else key
         raise ModelSyntaxError("expected '[' to open matrix", t.line, t.col)
     last = toks[-1]
     if not (last.kind == "punct" and last.text == "]"):
@@ -312,7 +313,7 @@ def parse_model(text: str) -> LpvModel:
     if "C" not in table:
         raise DimensionMismatch("matrix C is required", 1, 1)
 
-    raw = {k: _split_matrix(body) for k, (_, body) in table.items()
+    raw = {k: _split_matrix(head, body) for k, (head, body) in table.items()
            if k in _MATRICES}
 
     state_names = name_list("states") or [f"x{i+1}" for i in range(len(raw["A"]))]
@@ -370,7 +371,8 @@ def parse_model(text: str) -> LpvModel:
                 raise DimensionMismatch(
                     f"matrix {key} row has {len(row)} entries, expected {cols_exp}",
                     head.line, head.col)
-            out.append(tuple(_EntryParser(entry, symbols).parse() for entry in row))
+            out.append(tuple(_EntryParser(entry, symbols, head).parse()
+                             for entry in row))
         return tuple(out)
 
     model.A, model.B, model.C, model.D = (parse_matrix(k) for k in _MATRICES)

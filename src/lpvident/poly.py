@@ -24,7 +24,11 @@ point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
-sign normalization and elimination pivot tie-breaks.
+sign normalization and elimination pivot tie-breaks; a monomial prints its
+factors in their stored order.  `primitive_parts` is the one scale normal
+form: a list over its joint rational content, the first nonzero member
+with a positive leading coefficient (`primitive`, the gcd's PRS and the
+null-space rows all use it).
 """
 from __future__ import annotations
 
@@ -402,9 +406,7 @@ class Polynomial:
         return -cont if cont and self.leading()[1] < 0 else cont
 
     def primitive(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(1 / self.content())
+        return primitive_parts((self,))[0]
 
     def __repr__(self) -> str:
         return poly_text(self)
@@ -430,6 +432,20 @@ def rational_content(polys) -> Fraction:
             num = int_gcd(num, c.numerator)
             den = lcm(den, c.denominator)
     return Fraction(num, den)
+
+
+def primitive_parts(polys) -> list:
+    """The polynomials divided by their joint rational content, signed so
+    that the first nonzero one has a positive leading coefficient: integer
+    coefficients with gcd 1.  All-zero input comes back unchanged."""
+    polys = list(polys)
+    c = rational_content(polys)
+    if c and next(p for p in polys if p.terms).leading()[1] < 0:
+        c = -c
+    if c == 0 or c == 1:
+        return polys
+    inv = 1 / c
+    return [p.scale(inv) for p in polys]
 
 
 def _coerce(x) -> Polynomial:
@@ -519,15 +535,6 @@ def _from_univariate(coeffs: dict, v: Indeterminate) -> Polynomial:
     return out
 
 
-def _strip_rational(u: dict) -> dict:
-    """Divide out the joint rational content; keeps PRS coefficients small."""
-    c = rational_content(u.values())
-    if c == 0 or c == 1:
-        return u
-    inv = 1 / c
-    return {d: p.scale(inv) for d, p in u.items()}
-
-
 def _pseudo_rem(a: dict, b: dict) -> dict:
     """Pseudo-remainder of univariate-in-v polynomial coefficient maps."""
     db = max(b)
@@ -589,8 +596,8 @@ def _gcd2(a: Polynomial, b: Polynomial) -> Polynomial:
     v = va
     ua, ub = _as_univariate(a, v), _as_univariate(b, v)
     ca, cb = poly_gcd(*ua.values()), poly_gcd(*ub.values())
-    pa = _strip_rational({d: exact_div(c, ca) for d, c in ua.items()})
-    pb = _strip_rational({d: exact_div(c, cb) for d, c in ub.items()})
+    pa = dict(zip(ua, primitive_parts(exact_div(c, ca) for c in ua.values())))
+    pb = dict(zip(ub, primitive_parts(exact_div(c, cb) for c in ub.values())))
     gc = _gcd2(ca, cb)
     if max(pa) < max(pb):
         pa, pb = pb, pa
@@ -602,7 +609,7 @@ def _gcd2(a: Polynomial, b: Polynomial) -> Polynomial:
         if max(r) == 0:
             g = ONE
             break
-        r = _strip_rational(r)
+        r = dict(zip(r, primitive_parts(r.values())))
         rc = poly_gcd(*r.values())
         pa, pb = pb, {d: exact_div(c, rc) for d, c in r.items()}
     return (gc * g).primitive()
@@ -621,13 +628,11 @@ def _frac_text(c: Fraction) -> str:
 
 
 def mono_text(m: Monomial, discrete: bool = False) -> str:
+    """The monomial in its stored, canonical order."""
     if not m:
         return "1"
-    parts = []
-    for v, e in sorted(m, key=lambda p: p[0].sort_key):
-        s = v.display(discrete)
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "*".join(parts)
+    return "*".join(v.display(discrete) + (f"^{e}" if e != 1 else "")
+                    for v, e in m)
 
 
 def poly_text(p: Polynomial, discrete: bool = False) -> str:

@@ -8,11 +8,12 @@ time domains: at order j the relations y = C x + D u and x^(1) = A x + B u,
 differentiated or shifted j times, get the closure built so far
 substituted (x^(1..j) and the outputs y^(0..j) that A and B may hold),
 which gives y^(j) and x^(j+1).  The stack check substitutes the same
-closure into every row of the stacked system: one order-w closure, built
-once per verifier run, serves both symbolic checks, since the order-w
-closure holds every y^(j) and x^(j) with j <= w.  For discrete models a
-second, purely numeric oracle evaluates each equation on independent
-(w+1)-step exact rational trajectory segments from fresh random states.
+closure into one residual Y0 + G U - O X per row of the stacked system:
+one order-w closure, built once per verifier run, serves both symbolic
+checks, since the order-w closure holds every y^(j) and x^(j) with j <= w.
+For discrete models a second, purely numeric oracle evaluates each
+equation on independent (w+1)-step exact rational trajectory segments from
+fresh random states.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorVanishes
-from .expr import Expression, dot
+from .expr import E_ONE, Expression, dot
 from .iop import IopSet
 from .model import LpvModel
 from .stacking import StackedSystem
@@ -45,21 +46,15 @@ def output_closure(model: LpvModel, max_order: int) -> dict:
     x_rel = _affine(model.A, model.B, xs, us)
     closure: dict = {}
     for j in range(max_order + 1):
-        ys = [_subst(e, closure) for e in y_rel]
+        ys = [e.substitute(closure) for e in y_rel]
         closure.update(zip((y.with_order(j) for y in outputs), ys))
         if j == max_order:
             break
-        x_next = [_subst(e, closure) for e in x_rel]
+        x_next = [e.substitute(closure) for e in x_rel]
         closure.update(zip((s.with_order(j + 1) for s in states), x_next))
         y_rel = [step(e) for e in y_rel]
         x_rel = [step(e) for e in x_rel]
     return closure
-
-
-def _subst(e: Expression, bind: dict) -> Expression:
-    """Substitute the indeterminates of e that bind maps."""
-    hit = {v: bind[v] for v in e.indeterminates() if v in bind}
-    return e.substitute(hit) if hit else e
 
 
 @dataclass
@@ -74,20 +69,21 @@ def backsubstitute_check(closure: dict, iop: IopSet) -> BacksubReport:
     closure is `output_closure(model, iop.order)`: the equations hold
     outputs of order at most w, and the order-w closure maps every one.
     """
-    residuals = [_subst(Expression(psi), closure) for psi in iop.equations]
+    residuals = [Expression(psi).substitute(closure) for psi in iop.equations]
     return BacksubReport(all(r.is_zero() for r in residuals), residuals)
 
 
 def stack_substitution_check(closure: dict, stack: StackedSystem) -> bool:
     """Row-wise: Y0 + G U - O X vanishes under the model dynamics.
 
-    The stack at order w holds y^(0..w) and x^(0..w), with A and B shifted
-    or differentiated at most w - 1 times, so closure is
-    `output_closure(model, stack.order)`.
+    One `dot` per row gives its residual.  The stack at order w holds
+    y^(0..w) and x^(0..w), with A and B shifted or differentiated at most
+    w - 1 times, so closure is `output_closure(model, stack.order)`.
     """
-    xs = [Expression.var(x) for x in stack.X]
-    return all(_subst(known - dot(o_row, xs), closure).is_zero()
-               for known, o_row in zip(stack.known_side(), stack.O))
+    values = [E_ONE, *(Expression.var(u) for u in stack.U),
+              *(-Expression.var(x) for x in stack.X)]
+    return all(dot([y, *g_row, *o_row], values).substitute(closure).is_zero()
+               for y, g_row, o_row in zip(stack.Y0, stack.G, stack.O))
 
 
 @dataclass

@@ -96,6 +96,13 @@ def signal_models() -> list:
             for time in ("continuous", "discrete")]
 
 
+def rational_models() -> list:
+    """SIGNAL_MODEL_TEXTS[1] in both time domains: non-constant
+    denominators that every command runs through within a second."""
+    return [parse_model(SIGNAL_MODEL_TEXTS[1].format(time=time))
+            for time in ("continuous", "discrete")]
+
+
 def is_groebner(basis: list) -> bool:
     """Buchberger's criterion: every S-polynomial of basis members reduces
     to zero.  The oracle the Groebner tests check bases against."""

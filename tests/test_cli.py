@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lpvident
-from conftest import CHAIN4_DISCRETE, model_path
+from conftest import CHAIN4_DISCRETE, SIGNAL_MODEL_TEXTS, model_path
 from lpvident.cli import AnalysisConfig, _run_verifier, main
 from lpvident.elimination import left_nullspace
 from lpvident.expr import dot, expr_text
@@ -455,17 +455,39 @@ PINNED = [
     # iop reads no Groebner budget, so it does not accept one
     ("henon", ("iop", "--order", "2", "--pair-budget", "5"), 2, _EMPTY,
      "96c07c3b0529c54a"),
+    # rational entries (SIGNAL_MODEL_TEXTS[1]): non-constant denominators
+    # through the gcd, the null space, substitution and the verifier
+    ("rational_continuous", ("analyze",), 0, "76eb865dabc85b71", _EMPTY),
+    ("rational_continuous", ("analyze", "--mode", "symbolic", "--method",
+                             "both"), 0, "d7da56f14b426c5e", _EMPTY),
+    ("rational_continuous", ("local",), 0, "8f902c5872a909d1", _EMPTY),
+    ("rational_continuous", ("verify",), 0, "99a8f8b3e8b820a8", _EMPTY),
+    ("rational_continuous", ("iop", "--order", "2"), 0, "a2b726fed1813abf",
+     _EMPTY),
+    ("rational_discrete", ("analyze",), 0, "758def223e2535e6", _EMPTY),
+    ("rational_discrete", ("analyze", "--mode", "symbolic", "--method",
+                           "both"), 0, "1854f7af30a89188", _EMPTY),
+    ("rational_discrete", ("local",), 0, "cb916275545ad680", _EMPTY),
+    ("rational_discrete", ("verify",), 0, "15936bc80e74ff14", _EMPTY),
+    ("rational_discrete", ("iop", "--order", "2"), 0, "52fd8a988d3dc4a9",
+     _EMPTY),
 ]
+
+_PINNED_TEXTS = {f"rational_{time}": SIGNAL_MODEL_TEXTS[1].format(time=time)
+                 for time in ("continuous", "discrete")}
 
 
 @pytest.mark.parametrize("name,argv,code,out_sha,err_sha", PINNED,
                          ids=[" ".join((n,) + a) for n, a, *_ in PINNED])
-def test_pinned_report_bytes(capsys, monkeypatch, name, argv, code, out_sha,
-                             err_sha):
+def test_pinned_report_bytes(capsys, monkeypatch, tmp_path, name, argv, code,
+                             out_sha, err_sha):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the width
+    path = model_path(name)
+    if name in _PINNED_TEXTS:
+        path = tmp_path / f"{name}.lpv"
+        path.write_text(_PINNED_TEXTS[name], encoding="utf-8")
     try:
-        got = main([argv[0], str(model_path(name)), *argv[1:],
-                    "--format", "json"])
+        got = main([argv[0], str(path), *argv[1:], "--format", "json"])
     except SystemExit as exc:    # argparse usage error
         got = exc.code
     out = capsys.readouterr()

@@ -172,6 +172,17 @@ def test_substitute_rejects_recursive_bindings():
         e.substitute({U: ev(U) + 1})
 
 
+def test_substitute_reads_only_its_own_bindings():
+    e = ev(TH) * ev(Y)
+    # X does not occur in e, so its binding is ignored, even though its
+    # value mentions the bound Y
+    assert e.substitute({Y: ev(U), X: ev(Y) + 1}) == ev(TH) * ev(U)
+    assert e.substitute({X: ev(Y) + 1}) is e
+    # a value that is used must not mention a bound indeterminate
+    with pytest.raises(ValueError):
+        e.substitute({Y: ev(X), X: ev(U)})
+
+
 def test_evaluate_worked_example():
     e = (ev(UD) - ev(TH3) * ev(U)) / ev(U)
     val = e.evaluate({U: Fraction(1), UD: Fraction(5), TH3: Fraction(2)})

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rational_models
 from lpvident.elimination import NullspaceBasis, left_nullspace
 from lpvident.errors import (EmptyNullspace, NoParameterDependence,
                              StateNotEliminated)
@@ -284,7 +285,7 @@ def _two_pass_summary(iop):
 
 def test_summary_matches_two_pass_normalizer_oracle(goldens):
     compared = 0
-    for model in goldens.values():
+    for model in [*goldens.values(), *rational_models()]:
         for w in (1, 2, 3):
             s = build_stack(model, w)
             ns = left_nullspace(s.O)
@@ -298,7 +299,7 @@ def test_summary_matches_two_pass_normalizer_oracle(goldens):
                 continue
             assert extract_summary(iop).elements == want
             compared += 1
-    assert compared == 10
+    assert compared == 16
 
 
 def test_scale_invariance_theta_rational_times_monomial(product_coupling,

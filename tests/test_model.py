@@ -229,7 +229,7 @@ def test_print_model_round_trip(goldens):
 # fails at the first check it breaks, at that token's position
 MALFORMED = [
     ("time: continuous\nA: [1, 0\nC: [1]\n",
-     ModelSyntaxError, "unbalanced '['", 3, 0),
+     ModelSyntaxError, "unbalanced '['", 2, 4),
     ("time: continuous\nA: [1]]\nC: [1]\n",
      ModelSyntaxError, "unbalanced ']'", 2, 7),
     ("time: continuous\nstates: x1 x2\nA: [1, 0; 0, 1]\nC: [1, 0]\n",
@@ -247,7 +247,11 @@ MALFORMED = [
     ("time: continuous\nE: [1]\nA: [1]\nC: [1]\n",
      ModelSyntaxError, "unknown statement 'E'", 2, 1),
     ("time: continuous\nstates: x1, x2\nA: [1, 0; 0, 1]\nC: [1, ]\n",
-     ModelSyntaxError, "unexpected end of entry", 0, 0),
+     ModelSyntaxError, "unexpected end of entry", 4, 1),
+    ("time: continuous\nstates: x1, x2\nA: [1, 0; 0, 1]\nC: [, 1]\n",
+     ModelSyntaxError, "unexpected end of entry", 4, 1),
+    ("time: continuous\nA:\nC: [1]\n",
+     ModelSyntaxError, "expected '[' to open matrix", 2, 1),
     ("time: continuous\nparams: theta1\nA: [theta1, 1;\n    0, gamma]\n"
      "C: [1, 0]\n", UnknownSymbol, "undeclared name 'gamma'", 4, 8),
     ("time: continuous; params: theta1; A: [gamma]; C: [1]\n",

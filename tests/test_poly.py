@@ -13,7 +13,7 @@ from lpvident.poly import _mono as mono_of
 from lpvident.expr import Expression
 from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
                            mono_key, mono_mul, poly_gcd, poly_lcm, poly_text,
-                           rational_content)
+                           primitive_parts, rational_content)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -743,3 +743,50 @@ def test_rational_content_matches_the_three_loops_it_replaces():
             polys = [p * f for p in polys]
         assert _normalize_row(polys) == _oracle_normalize_row(polys)
     assert nontrivial > 50
+
+
+def _oracle_strip_rational(polys):
+    """The PRS step primitive_parts replaced: divide by the joint rational
+    content, sign untouched."""
+    c = rational_content(polys)
+    if c == 0 or c == 1:
+        return polys
+    return [p.scale(1 / c) for p in polys]
+
+
+def _oracle_row_content_and_sign(row):
+    """The content-and-sign half of the null-space row normalisation that
+    primitive_parts replaced."""
+    cont = rational_content(row)
+    if cont:
+        scale = 1 / cont
+        if next(p for p in row if not p.is_zero()).leading()[1] < 0:
+            scale = -scale
+        row = [p.scale(scale) for p in row]
+    return row
+
+
+def test_primitive_parts_matches_the_two_loops_it_replaces():
+    rng = random.Random(43)
+    assert primitive_parts([]) == []
+    assert primitive_parts([P(), P()]) == [P(), P()]
+    assert primitive_parts([P(), pv(U) * Fraction(-2, 3) + 4, P.const(6)]) == [
+        P(), pv(U) - 6, P.const(-9)]
+    signs = scaled = 0
+    for _ in range(300):
+        polys = [rand_poly(rng, [TH1, U, Y], max_terms=rng.randint(0, 4))
+                 for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            k = Fraction(rng.choice((-6, -2, 3, 10)), rng.choice((1, 5, 7)))
+            polys = [p.scale(k) for p in polys]
+        got = primitive_parts(polys)
+        assert got == _oracle_row_content_and_sign(polys)
+        # the PRS step is the same up to one sign for the whole list
+        stripped = _oracle_strip_rational(polys)
+        assert got == stripped or got == [-p for p in stripped]
+        signs += got != stripped
+        scaled += got != polys
+        if any(p.terms for p in polys):
+            assert next(p for p in got if p.terms).leading()[1] > 0
+            assert rational_content(got) == 1
+    assert signs > 30 and scaled > 100
