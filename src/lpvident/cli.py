@@ -25,6 +25,7 @@ Jacobian rank below q) or a stack over ``--size-cap`` in ``verify`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -440,6 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first `main` call;
+    `parse_args` fills a new namespace each time, so calls share nothing."""
+    return build_parser()
+
+
 def _config_from(args) -> AnalysisConfig:
     names = {f.name for f in fields(AnalysisConfig)}
     cfg = AnalysisConfig(**{k: v for k, v in vars(args).items()
@@ -449,7 +457,7 @@ def _config_from(args) -> AnalysisConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         model = parse_model(Path(args.model).read_text(encoding="utf-8"))
         config = _config_from(args)

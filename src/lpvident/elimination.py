@@ -160,7 +160,7 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
             for j in range(c + 1, nrows):
                 if not T[r][j].is_zero() and not omega[j].is_zero():
                     add_terms_into(acc, (T[r][j] * omega[j]).terms)
-            omega[c] = exact_div(-Polynomial(acc), T[r][c])
+            omega[c] = exact_div(-Polynomial._of(acc), T[r][c])
         # restore the row scaling of the original matrix
         basis.append(_normalize_row(
             [w * s for w, s in zip(omega, row_scales)]))

@@ -19,13 +19,14 @@ from fractions import Fraction
 from .errors import DenominatorVanishes, ZeroPolynomialError
 from .indets import Indeterminate
 from .poly import (ONE, ZERO, Polynomial, _coerce, add_terms_into, collect,
-                   exact_div, poly_gcd, poly_lcm, poly_text)
+                   exact_div, exact_quotient, poly_gcd, poly_lcm, poly_text)
 
 
 class Expression:
     """num / den with exact rational-function arithmetic."""
 
-    __slots__ = ("num", "den")
+    # _indets is filled on the first `indeterminates` call
+    __slots__ = ("num", "den", "_indets")
 
     def __init__(self, num, den=None):
         num = _coerce(num)
@@ -39,7 +40,7 @@ class Expression:
             # Expression has one, and this skips poly_gcd and content()
             c = den.constant_value()
             if c != 1:
-                num = num.scale(1 / c)
+                num = num.scale(exact_quotient(1, c))
             den = ONE
         else:
             g = poly_gcd(num, den)
@@ -48,8 +49,9 @@ class Expression:
                 den = exact_div(den, g)
             dc = den.content()
             if dc != 1:
-                num = num.scale(1 / dc)
-                den = den.scale(1 / dc)
+                inv = exact_quotient(1, dc)
+                num = num.scale(inv)
+                den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -74,11 +76,21 @@ class Expression:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+    def constant_value(self):
+        """The value of a constant expression: an int, or a Fraction with a
+        denominator above 1."""
+        return exact_quotient(self.num.constant_value(),
+                              self.den.constant_value())
 
-    def indeterminates(self) -> set:
-        return self.num.indeterminates() | self.den.indeterminates()
+    def indeterminates(self) -> frozenset:
+        """The indeterminates of num and den, computed once per value."""
+        try:
+            return self._indets
+        except AttributeError:
+            out = frozenset(self.num.indeterminates()
+                            | self.den.indeterminates())
+            object.__setattr__(self, "_indets", out)
+            return out
 
     # --- field arithmetic ---
 
@@ -146,6 +158,8 @@ class Expression:
         return Expression(self.num.shift(), self.den.shift())
 
     def evaluate(self, bindings: dict) -> Fraction:
+        if self.is_polynomial():
+            return self.num.evaluate(bindings)
         d = self.den.evaluate(bindings)
         if d == 0:
             raise DenominatorVanishes("denominator vanishes at the given point")
@@ -160,8 +174,9 @@ class Expression:
         used = {v: bindings[v] for v in self.indeterminates() if v in bindings}
         if not used:
             return self
+        bound = bindings.keys()
         for val in used.values():
-            if any(v in bindings for v in _expr(val).indeterminates()):
+            if not bound.isdisjoint(_expr(val).indeterminates()):
                 raise ValueError("substitution values mention bound indeterminates")
         num = substitute_poly(self.num, used)
         if self.den == ONE:
@@ -192,15 +207,17 @@ def substitute_poly(p: Polynomial, bindings: dict) -> Expression:
     term goes over the one common denominator prod den_v^top_v: its part
     over the bound indeterminates becomes prod num_v^e * den_v^(top_v - e).
     The numerators are summed in one term dict and the quotient is
-    normalised once.
+    normalised once.  A bound indeterminate that p lacks has top_v = 0 and
+    changes nothing.
     """
-    vals = {v: _expr(bindings[v]) for v in p.indeterminates() if v in bindings}
-    fractional = [v for v, val in vals.items() if not val.is_polynomial()]
+    vals = {v: _expr(val) for v, val in bindings.items()}
     groups = collect(p, set(vals))
     top = dict.fromkeys(vals, 0)
     for m in groups:
         for v, e in m:
             top[v] = max(top[v], e)
+    fractional = [v for v, val in vals.items()
+                  if top[v] and not val.is_polynomial()]
     powers: dict = {}
 
     def power(v: Indeterminate, part: str, e: int) -> Polynomial:
@@ -222,7 +239,7 @@ def substitute_poly(p: Polynomial, bindings: dict) -> Expression:
     den = ONE
     for v in fractional:
         den = den * power(v, "den", top[v])
-    return Expression(Polynomial(acc), den)
+    return Expression(Polynomial._of(acc), den)
 
 
 def clear_denominators(exprs: list) -> tuple:
@@ -248,7 +265,7 @@ def dot(coeffs, values) -> Expression:
     acc: dict = {}
     for p in nums:
         add_terms_into(acc, p.terms)
-    return Expression(Polynomial(acc), den)
+    return Expression(Polynomial._of(acc), den)
 
 
 def expr_text(e: Expression, discrete: bool = False) -> str:

@@ -3,9 +3,11 @@
 A GPoly maps exponent tuples, aligned with a variable sequence that lists
 the largest variable first, to coefficients in an exact field.  Lex order
 on such tuples is Python's own tuple order, so the leading term is
-max(terms).  A coefficient is a Fraction unless its term carries reference
+max(terms).  A coefficient is a number, an int or a Fraction whose
+denominator is above 1 (as in `poly`), unless its term carries reference
 parameters (symbolic mode); only then is it an Expression, a rational
-function of those parameters.  Pairs come from a heap keyed by their lcm,
+function of those parameters, and one that arithmetic leaves constant
+drops back to a number.  Pairs come from a heap keyed by their lcm,
 computed once when the pair is made, so the smallest lcm is processed
 first.  The coprime-leading-term criterion discards product pairs, and
 Buchberger's chain criterion (Cox, Little and O'Shea, Ideals, Varieties,
@@ -22,18 +24,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 
 from .errors import BudgetExceeded
 from .expr import Expression, expr_text
 from .indets import Indeterminate, Kind
-from .poly import Polynomial, collect
+from .poly import Polynomial, collect, exact_quotient
 
 
 @dataclass
 class GPoly:
-    """Polynomial in the variables with Fraction or Expression coefficients."""
+    """Polynomial in the variables with int, Fraction or Expression
+    coefficients."""
     terms: dict          # exponent tuple -> coefficient (nonzero)
     variables: tuple     # largest variable first
 
@@ -51,15 +53,18 @@ class GPoly:
         if not self.terms:
             return self
         _, lc = self.leading()
-        return GPoly({m: _field(c / lc) for m, c in self.terms.items()},
-                     self.variables)
+        symbolic = isinstance(lc, Expression)
+        return GPoly({m: _field(c / lc) if symbolic or isinstance(c, Expression)
+                      else exact_quotient(c, lc)
+                      for m, c in self.terms.items()}, self.variables)
 
 
 def _field(c):
-    """c, back as a Fraction when Expression arithmetic left it constant."""
-    if isinstance(c, Expression) and c.is_constant():
-        return c.constant_value()
-    return c
+    """c as a canonical field element: an int, a Fraction with a
+    denominator above 1, or a non-constant Expression."""
+    if isinstance(c, Expression):
+        return c.constant_value() if c.is_constant() else c
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _sub_scaled(terms: dict, g: GPoly, mono: tuple, coeff) -> None:
@@ -69,7 +74,7 @@ def _sub_scaled(terms: dict, g: GPoly, mono: tuple, coeff) -> None:
         s = terms.get(m)
         s = -(coeff * c) if s is None else s - coeff * c
         if s:
-            terms[m] = _field(s)
+            terms[m] = s if type(s) is int else _field(s)
         else:
             del terms[m]
 
@@ -99,7 +104,7 @@ def gpoly_text(g: GPoly) -> str:
         return "0"
     chunks = []
     for m, c in sorted(g.terms.items(), reverse=True):
-        if isinstance(c, Fraction):
+        if not isinstance(c, Expression):
             c = Expression(c)
         mono = "*".join(
             (v.display() if e == 1 else f"{v.display()}^{e}")

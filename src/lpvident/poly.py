@@ -4,23 +4,30 @@ A monomial is a tuple of (indeterminate, exponent) pairs with positive
 exponents, sorted ascending by the canonical indeterminate order; the empty
 tuple is 1.  Because both factors are sorted, a product of monomials is a
 merge of the two tuples (matching interned indeterminates by identity)
-and never needs a sort.  A polynomial maps monomials to nonzero Fraction
-coefficients.  The public constructor enforces that (it wraps every
-coefficient in Fraction and drops zeros); ring arithmetic, whose
-coefficients are nonzero Fractions by construction, builds its results
-through the private `Polynomial._of`, which trusts its dict.  A product of
-two multi-term polynomials writes each operand as integer numerators over
-one common denominator (the lcm of its coefficient denominators), sums the
-products as ints and makes one Fraction per nonzero sum, so the invariant
-holds there too; when one operand has one term, no two products merge and
-the coefficients multiply directly, or are copied when that term's is 1.
-Exact division follows the same split: a one-term divisor divides each term
-by its monomial, and a longer one runs long division on a single remainder
-dict updated in place.  Evaluation at rational values makes the same split:
-a one-term polynomial multiplies out, a longer one computes the integer
-value of each term over one common denominator (`term_values`) and makes
-one Fraction of their sum.  All arithmetic is exact; there is no floating
-point anywhere.
+and never needs a sort.  A polynomial maps monomials to nonzero exact
+coefficients, each an int or a Fraction whose denominator is above 1, never
+an integer-valued Fraction and never a float.  Python hashes and compares 3
+and Fraction(3) alike, so the split changes no equality, hash or text; it
+keeps the common integer case out of pure-Python Fraction arithmetic.
+
+The public constructor, `const` and `scale` bring any exact value into that
+form and drop zeros; ring arithmetic, whose coefficients are canonical by
+construction, builds its results through the private `Polynomial._of`,
+which trusts its dict.  Where a sum or product with a Fraction can come out
+integral, the result goes back to an int in place, and every quotient of
+coefficients goes through `exact_quotient`, since int / int is a float.  A
+product of two multi-term polynomials writes each operand as integer
+numerators over one common denominator (the lcm of its coefficient
+denominators, 1 for ints alone), sums the products as ints and divides
+only when that denominator is above 1; when one operand has one term, no
+two products merge and the coefficients multiply directly, or are copied
+when that term's is 1.  Exact division follows the same split: a one-term
+divisor divides each term by its monomial, and a longer one runs long
+division on a single remainder dict updated in place.  Evaluation at
+rational values makes the same split: a one-term polynomial multiplies out,
+a longer one computes the integer value of each term over one common
+denominator (`term_values`) and makes one Fraction of their sum.  All
+arithmetic is exact; there is no floating point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
 canonical indeterminate order.  It fixes leading terms, printing order,
@@ -54,12 +61,22 @@ def add_terms_into(out: dict, terms: dict) -> dict:
         if m in out:
             s = out[m] + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del out[m]
         else:
             out[m] = c
     return out
+
+
+def exact_quotient(a, b):
+    """a / b for exact coefficients: an int when b divides a, otherwise a
+    Fraction, never a float (int / int is one in Python)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q if q.denominator != 1 else q.numerator
 
 
 def _mono(d: dict) -> Monomial:
@@ -135,7 +152,8 @@ def mono_key(m: Monomial) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or non-integral Fraction
+    coefficients."""
 
     __slots__ = ("terms",)
 
@@ -143,14 +161,16 @@ class Polynomial:
         t = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = _exact(c)
                 if c:
                     t[m] = c
         object.__setattr__(self, "terms", t)
 
     @classmethod
     def _of(cls, terms: dict) -> "Polynomial":
-        """Wrap a term dict whose coefficients are all nonzero Fractions.
+        """Wrap a term dict whose coefficients are all nonzero and
+        canonical: ints, or Fractions with a denominator above 1.
 
         No copy and no check: the caller hands over a dict it owns.
         """
@@ -165,14 +185,14 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial({MONO_ONE: c} if c else {})
+        c = _exact(c)
+        return Polynomial._of({MONO_ONE: c} if c else {})
 
     @staticmethod
     def var(v: Indeterminate, exp: int = 1) -> "Polynomial":
         if exp == 0:
             return Polynomial.const(1)
-        return Polynomial({((v, exp),): Fraction(1)})
+        return Polynomial._of({((v, exp),): 1})
 
     # --- predicates ---
 
@@ -182,19 +202,17 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
+        """The constant term of a constant polynomial: an int, or a
+        Fraction with a denominator above 1."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return self.terms.get(MONO_ONE, 0)
 
     # --- structure ---
 
     def indeterminates(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -249,8 +267,12 @@ class Polynomial:
             if c1 == 1:
                 return Polynomial._of({mono_mul(m1, m2): c2
                                        for m2, c2 in large.items()})
-            return Polynomial._of({mono_mul(m1, m2): c1 * c2
-                                   for m2, c2 in large.items()})
+            out = {}
+            for m2, c2 in large.items():
+                c = c1 * c2
+                out[mono_mul(m1, m2)] = (c if type(c) is int or c.denominator != 1
+                                         else c.numerator)
+            return Polynomial._of(out)
         # integer numerators over one common denominator per operand
         da, na = _over_common_denominator(self.terms)
         db, nb = _over_common_denominator(other.terms)
@@ -267,7 +289,9 @@ class Polynomial:
                 else:
                     acc[m] = a * b
         d = da * db
-        return Polynomial._of({m: Fraction(c, d) for m, c in acc.items()})
+        if d == 1:
+            return Polynomial._of(acc)
+        return Polynomial._of({m: exact_quotient(c, d) for m, c in acc.items()})
 
     __rmul__ = __mul__
 
@@ -287,10 +311,14 @@ class Polynomial:
         return out
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Polynomial()
-        return Polynomial._of({m: cc * c for m, cc in self.terms.items()})
+        out = {}
+        for m, cc in self.terms.items():
+            cc *= c
+            out[m] = cc if type(cc) is int or cc.denominator != 1 else cc.numerator
+        return Polynomial._of(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -324,7 +352,9 @@ class Polynomial:
                     nm = head + ((w, 1),) + rest
                 dc = c * e if e > 1 else c
                 out[nm] = out[nm] + dc if nm in out else dc
-        return Polynomial._of({m: c for m, c in out.items() if c})
+        return Polynomial._of({
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in out.items() if c})
 
     def shift(self) -> "Polynomial":
         """Forward time shift: a ring homomorphism bumping signal orders.
@@ -343,9 +373,10 @@ class Polynomial:
         denominators and the coefficients over the lcm L of theirs; a term
         of degree k is scaled by delta^(T - k), T the total degree, so every
         value is an int over the one denominator L * delta^T.  Each bound
-        value is read once as a Fraction, so int, Fraction, float and str
-        bindings are all taken exactly; each power a_v^e is computed once
-        per call and shared by the terms that hold it.
+        value is read once, an int or Fraction as it is and any other value
+        through Fraction(), so float and str bindings are taken exactly too;
+        each power a_v^e is computed once per call and shared by the terms
+        that hold it.
         """
         bound: dict = {}
         for m in self.terms:
@@ -354,7 +385,9 @@ class Polynomial:
                     if v not in bindings:
                         raise UnboundIndeterminate(
                             f"no value bound for {v.display()}")
-                    bound[v] = Fraction(bindings[v])
+                    b = bindings[v]
+                    bound[v] = (b if type(b) is int or type(b) is Fraction
+                                else Fraction(b))
         delta = lcm(*(b.denominator for b in bound.values()))
         a = {v: b.numerator * (delta // b.denominator)
              for v, b in bound.items()}
@@ -395,8 +428,10 @@ class Polynomial:
         for v, e in m:
             if v not in bindings:
                 raise UnboundIndeterminate(f"no value bound for {v.display()}")
-            val *= Fraction(bindings[v]) ** e
-        return val
+            b = bindings[v]
+            val *= (b if type(b) is int or type(b) is Fraction
+                    else Fraction(b)) ** e
+        return val if type(val) is Fraction else Fraction(val)
 
     # --- normalization ---
 
@@ -415,6 +450,8 @@ class Polynomial:
 def _over_common_denominator(terms: dict) -> tuple:
     """(d, [(monomial, integer numerator)]) with terms = numerators / d,
     d the lcm of the coefficient denominators."""
+    if set(map(type, terms.values())) <= {int}:   # one C-level pass
+        return 1, list(terms.items())
     d = lcm(*(c.denominator for c in terms.values()))
     return d, [(m, c.numerator * (d // c.denominator))
                for m, c in terms.items()]
@@ -424,28 +461,45 @@ def rational_content(polys) -> Fraction:
     """Positive gcd of every coefficient of the polynomials; 0 for none.
 
     For reduced fractions it is the gcd of the numerators over the lcm of
-    the denominators.
+    the denominators; over ints alone, one multi-argument gcd.
     """
-    num, den = 0, 1
-    for p in polys:
-        for c in p.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-    return Fraction(num, den)
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if set(map(type, coeffs)) <= {int}:
+        return Fraction(int_gcd(*coeffs))
+    return Fraction(int_gcd(*(c.numerator for c in coeffs)),
+                    lcm(*(c.denominator for c in coeffs)))
 
 
 def primitive_parts(polys) -> list:
     """The polynomials divided by their joint rational content, signed so
     that the first nonzero one has a positive leading coefficient: integer
-    coefficients with gcd 1.  All-zero input comes back unchanged."""
+    coefficients with gcd 1.  All-zero input comes back unchanged.
+
+    With content n/d and a coefficient a/b (b divides d), the quotient
+    a*(d/b)/n is an int, so the division runs in ints alone."""
     polys = list(polys)
     c = rational_content(polys)
     if c and next(p for p in polys if p.terms).leading()[1] < 0:
         c = -c
     if c == 0 or c == 1:
         return polys
-    inv = 1 / c
-    return [p.scale(inv) for p in polys]
+    n, d = c.numerator, c.denominator
+    if d == 1:
+        return [Polynomial._of({m: a // n for m, a in p.terms.items()})
+                for p in polys]
+    return [Polynomial._of({m: a.numerator * (d // a.denominator) // n
+                            for m, a in p.terms.items()})
+            for p in polys]
+
+
+def _exact(c):
+    """An exact value (int, Fraction, float or str) as a coefficient: an
+    int, or a Fraction with a denominator above 1."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 def _coerce(x) -> Polynomial:
@@ -469,9 +523,9 @@ def collect(p: Polynomial, vars_: set) -> dict:
     for m, c in p.terms.items():
         inside = tuple((v, e) for v, e in m if v in vars_)
         outside = tuple((v, e) for v, e in m if v not in vars_)
-        bucket = out.setdefault(inside, {})
-        bucket[outside] = bucket.get(outside, Fraction(0)) + c
-    return {m: Polynomial(t) for m, t in out.items() if any(t.values())}
+        # (inside, outside) determines m, so no two terms meet in a bucket
+        out.setdefault(inside, {})[outside] = c
+    return {m: Polynomial._of(t) for m, t in out.items()}
 
 
 # --- exact division and gcd ---
@@ -495,7 +549,7 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
             qm = mono_div(m, bm)
             if qm is None:
                 raise ExactDivisionError("inexact polynomial division")
-            q[qm] = c / bc
+            q[qm] = exact_quotient(c, bc)
         return Polynomial._of(q)
     bm, bc = b.leading()
     tail = [(m, c) for m, c in b.terms.items() if m != bm]
@@ -506,14 +560,14 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
         m = mono_div(rm, bm)
         if m is None:
             raise ExactDivisionError("inexact polynomial division")
-        c = r.pop(rm) / bc
+        c = exact_quotient(r.pop(rm), bc)
         q[m] = c
         # the leading product cancels rm by construction; subtract the rest
         for tm, tc in tail:
             pm = mono_mul(m, tm)
             s = r.get(pm, 0) - c * tc
             if s:
-                r[pm] = s
+                r[pm] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del r[pm]
     return Polynomial._of(q)

@@ -114,6 +114,14 @@ def is_groebner(basis: list) -> bool:
     return True
 
 
+def is_canonical_coefficient(c) -> bool:
+    """The coefficient form of `Polynomial.terms` and of numeric GPoly
+    terms: a nonzero int, or a Fraction whose denominator is above 1 (never
+    an integer-valued Fraction, a bool or a float)."""
+    return ((type(c) is int and c != 0)
+            or (type(c) is Fraction and c.denominator > 1))
+
+
 def fraction_rank(rows: list) -> int:
     """Rank by Gaussian elimination over Fraction: the oracle that
     `rank_rational` and the Jacobian rank test are checked against."""

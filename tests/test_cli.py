@@ -12,13 +12,15 @@ from pathlib import Path
 import pytest
 
 import lpvident
-from conftest import CHAIN4_DISCRETE, SIGNAL_MODEL_TEXTS, model_path
+from conftest import (CHAIN4_DISCRETE, SIGNAL_MODEL_TEXTS,
+                      is_canonical_coefficient, model_path)
 from lpvident.cli import AnalysisConfig, _run_verifier, main
 from lpvident.elimination import left_nullspace
-from lpvident.expr import dot, expr_text
-from lpvident.groebner import groebner_basis
+from lpvident.expr import Expression, dot, expr_text
+from lpvident.groebner import GPoly, groebner_basis
 from lpvident.iop import form_iop
 from lpvident.model import parse_model
+from lpvident.poly import Polynomial
 from lpvident.stacking import build_stack
 
 
@@ -496,6 +498,50 @@ def test_pinned_report_bytes(capsys, monkeypatch, tmp_path, name, argv, code,
     assert hashlib.sha256(out.err.encode()).hexdigest()[:16] == err_sha
 
 
+def test_every_coefficient_is_canonical_through_the_cli(monkeypatch, tmp_path,
+                                                        capsys):
+    # every Polynomial and GPoly made on the way to a report holds ints and
+    # Fractions with a denominator above 1 only; a GPoly term may also hold
+    # a non-constant Expression of the reference parameters
+    made = {"Polynomial._of": 0, "Polynomial()": 0, "GPoly": 0}
+    real_of = Polynomial._of.__func__
+    real_init, real_gpoly = Polynomial.__init__, GPoly.__init__
+
+    def of(cls, terms):
+        assert all(map(is_canonical_coefficient, terms.values())), terms
+        made["Polynomial._of"] += 1
+        return real_of(cls, terms)
+
+    def init(self, terms=None):
+        real_init(self, terms)
+        assert all(map(is_canonical_coefficient, self.terms.values()))
+        made["Polynomial()"] += 1
+
+    def gpoly(self, terms, variables):
+        assert all(not c.is_constant() if isinstance(c, Expression)
+                   else is_canonical_coefficient(c)
+                   for c in terms.values()), terms
+        made["GPoly"] += 1
+        real_gpoly(self, terms, variables)
+
+    monkeypatch.setattr(Polynomial, "_of", classmethod(of))
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(GPoly, "__init__", gpoly)
+    paths = [model_path(name) for name in sorted(EXPECTED_MODEL_STATUS)]
+    for time in ("continuous", "discrete"):
+        path = tmp_path / f"rational-{time}.lpv"
+        path.write_text(SIGNAL_MODEL_TEXTS[1].format(time=time),
+                        encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        for argv in (("analyze",),
+                     ("analyze", "--mode", "symbolic", "--method", "both"),
+                     ("local",), ("verify",), ("iop", "--order", "3")):
+            code, _, err = _run(capsys, argv[0], path, *argv[1:])
+            assert code in (0, 3) and not err, (path.name, argv, err)
+    assert all(made.values()), made
+
+
 @pytest.mark.parametrize("name,w", [("henon", 4), ("product_coupling", 5)])
 def test_verifier_builds_one_closure(monkeypatch, name, w):
     verify = importlib.import_module("lpvident.verify")
@@ -573,6 +619,40 @@ for path in paths:
         code = main([argv[0], path, *argv[1:], "--format", "json"])
         print("exit", code, flush=True)
 """
+
+
+# Prints the JSON report and exit code of each argv given as an argument,
+# all in this one process.
+_REPORTS_IN_ONE_PROCESS = r"""
+import sys
+from lpvident.cli import main
+for argv in sys.argv[1:]:
+    code = main(argv.split() + ["--format", "json"])
+    print("exit", code, flush=True)
+"""
+
+
+def test_parser_reuse_leaks_no_flag_into_the_next_call():
+    # the parser is built once per process: a flag given to one call must
+    # not stay set for the next, so one process reports what two do
+    path = str(model_path("shared_gain"))
+    symbolic = f"analyze {path} --mode symbolic --seed 3"
+    plain = f"analyze {path}"
+    src = str(Path(lpvident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def reports(*argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORTS_IN_ONE_PROCESS, *argvs],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        return proc.stdout
+
+    one = reports(symbolic, plain)
+    assert one == reports(symbolic) + reports(plain)
+    assert one.count("exit 0") == 2
+    assert '"mode": "symbolic"' in one and '"mode": "numeric"' in one
 
 
 def test_reports_do_not_depend_on_indeterminate_addresses():

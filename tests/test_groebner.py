@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GOLDEN_NAMES, is_groebner, model_path
+from conftest import (GOLDEN_NAMES, is_canonical_coefficient, is_groebner,
+                      model_path)
 from lpvident.classify import evaluate_summary
 from lpvident.cli import main
 from lpvident.elimination import left_nullspace
@@ -134,16 +135,17 @@ def test_pair_reductions_pinned(goldens):
 
 
 def test_coefficient_types(goldens):
-    # rationals stay Fraction; only terms with reference parameters lift, and
-    # a coefficient that Expression arithmetic leaves constant drops back
+    # rationals stay canonical numbers (an int, or a Fraction with a
+    # denominator above 1); only terms with reference parameters lift, and a
+    # coefficient that Expression arithmetic leaves constant drops back
     gb = _numeric_chain3_basis()
-    assert all(type(c) is Fraction
+    assert all(is_canonical_coefficient(c)
                for g in gb.generators for c in g.terms.values())
     for name in ("air_handling_unit", "henon", "burgers_discretized"):
         gb, _ = _symbolic_basis(goldens[name])
-        assert all(type(c) is Fraction
-                   for g in gb.generators for c in g.terms.values()
-                   if not isinstance(c, Expression) or c.is_constant()), name
+        assert all(not c.is_constant() if isinstance(c, Expression)
+                   else is_canonical_coefficient(c)
+                   for g in gb.generators for c in g.terms.values()), name
     gb, _ = _symbolic_basis(goldens["henon"])
     lifted = [repr(c) for g in gb.generators for c in g.terms.values()
               if isinstance(c, Expression)]

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_canonical_coefficient
 from lpvident.errors import ExactDivisionError, UnboundIndeterminate
 from lpvident.indets import (Indeterminate, Kind, Role, parameter,
                              ref_parameter, signal)
 from lpvident.poly import _mono as mono_of
 from lpvident.expr import Expression
-from lpvident.poly import (Polynomial, collect, exact_div, mono_div,
-                           mono_key, mono_mul, poly_gcd, poly_lcm, poly_text,
-                           primitive_parts, rational_content)
+from lpvident.groebner import GPoly
+from lpvident.poly import (Polynomial, collect, exact_div, exact_quotient,
+                           mono_div, mono_key, mono_mul, poly_gcd, poly_lcm,
+                           poly_text, primitive_parts, rational_content)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -277,9 +279,10 @@ def test_exact_division():
 
 
 def _oracle_exact_div(a, b):
-    """Long division that rebuilds the remainder for every quotient term."""
+    """Long division over Fractions that rebuilds the remainder for every
+    quotient term."""
     if b.is_constant():
-        return a.scale(1 / b.constant_value())
+        return a.scale(Fraction(1) / b.constant_value())
     q: dict = {}
     r = a
     bm, bc = b.leading()
@@ -288,7 +291,7 @@ def _oracle_exact_div(a, b):
         m = _oracle_mono_div(rm, bm)
         if m is None:
             raise ExactDivisionError("inexact polynomial division")
-        c = rc / bc
+        c = Fraction(rc) / bc
         q[m] = q.get(m, Fraction(0)) + c
         r = r - Polynomial({m: c}) * b
     return Polynomial(q)
@@ -325,7 +328,7 @@ def test_exact_div_matches_remainder_rebuilding_oracle(shape):
         seen += 1
         got = exact_div(a * b, b)
         assert got == _oracle_exact_div(a * b, b) == a
-        assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+        assert all(map(is_canonical_coefficient, got.terms.values()))
 
 
 @pytest.mark.parametrize("a,b", [
@@ -340,6 +343,44 @@ def test_inexact_division_raises_in_both_paths(a, b):
         _oracle_exact_div(a, b)
     with pytest.raises(ExactDivisionError):
         exact_div(a, b)
+
+
+# each place that divides one coefficient by another, on 3 over 2: the
+# quotient must be Fraction(3, 2), never the float 1.5 that int / int gives
+_THREE_HALVES = {
+    "exact_quotient": lambda: exact_quotient(3, 2),
+    "exact_div one-term divisor": lambda: exact_div(
+        P.const(3) * pv(U), P.const(2) * pv(U)).terms[()],
+    "exact_div long division": lambda: exact_div(
+        pv(U).scale(3) + P.const(3), pv(U).scale(2) + P.const(2)).terms[()],
+    "Expression over a constant": lambda: Expression(
+        P.const(3), P.const(2)).num.terms[()],
+    "Expression over its content": lambda: Expression(
+        pv(U).scale(3), pv(U).scale(2) + P.const(2)).num.terms[((U, 1),)],
+    "Expression.constant_value": lambda: Expression(3, 2).constant_value(),
+    "GPoly.monic": lambda: GPoly({(1,): 2, (0,): 3}, (TH1,)).monic().terms[(0,)],
+}
+
+
+@pytest.mark.parametrize("site", sorted(_THREE_HALVES))
+def test_coefficient_quotients_are_exact(site):
+    got = _THREE_HALVES[site]()
+    assert type(got) is Fraction and got == Fraction(3, 2)
+
+
+def test_exact_quotient_is_canonical():
+    cases = [(6, 3, 2), (-6, 4, Fraction(-3, 2)), (0, 5, 0), (7, -7, -1),
+             (Fraction(3, 2), Fraction(1, 2), 3),
+             (1, Fraction(2, 3), Fraction(3, 2)),
+             (Fraction(4, 3), 2, Fraction(2, 3))]
+    for a, b, want in cases:
+        got = exact_quotient(a, b)
+        assert got == want and type(got) is type(want), (a, b)
+    # an integral quotient comes back as an int at the other sites too
+    assert type(Expression(6, 3).constant_value()) is int
+    monic = GPoly({(1,): Fraction(1, 2), (0,): Fraction(3, 2)}, (TH1,)).monic()
+    assert monic.terms == {(1,): 1, (0,): 3}
+    assert all(type(c) is int for c in monic.terms.values())
 
 
 def test_poly_gcd_recovers_common_factor():
@@ -501,18 +542,27 @@ def test_mono_div_merge_matches_exponent_difference():
     assert mono_div((), ((U, 1),)) is None
 
 
-def test_ring_results_keep_nonzero_fraction_coefficients():
-    # the public constructor still wraps coefficients and drops zeros
-    p = P({((U, 1),): 2, ((Y, 1),): 0, (): Fraction(1, 2)})
-    assert p.terms == {((U, 1),): Fraction(2), (): Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in p.terms.values())
+def test_ring_results_keep_nonzero_canonical_coefficients():
+    # the public constructor, const and scale read any exact value, drop
+    # zeros and keep an integral one as an int
+    p = P({((U, 1),): Fraction(4, 2), ((Y, 1),): 0, (): Fraction(1, 2),
+           ((TH1, 1),): "6/4", ((TH2, 1),): 2.5, ((X2, 1),): Fraction(0)})
+    assert p.terms == {((U, 1),): 2, (): Fraction(1, 2),
+                       ((TH1, 1),): Fraction(3, 2), ((TH2, 1),): Fraction(5, 2)}
+    assert type(p.terms[((U, 1),)]) is int
+    assert all(map(is_canonical_coefficient, p.terms.values()))
+    for q in (P.const(Fraction(6, 3)), P.const("-4/2"), P.const(3.0),
+              pv(U).scale(Fraction(8, 4)), P.const(True)):
+        assert all(map(is_canonical_coefficient, q.terms.values())), q.terms
+    half = P({((U, 1),): Fraction(1, 2), (): Fraction(-3, 2)})
+    assert (half + half).terms == {((U, 1),): 1, (): -3}
+    assert all(map(is_canonical_coefficient, (half + half).terms.values()))
     rng = random.Random(13)
     for _ in range(30):
         a, b = rand_poly(rng, [TH1, U, Y]), rand_poly(rng, [TH1, U, Y])
         for r in (a + b, a - b, -a, a * b, a.scale(Fraction(-3, 2)),
-                  a + (-a)):
-            assert all(type(c) is Fraction and c
-                       for c in r.terms.values())
+                  a.scale(Fraction(2, 1)), a * a.scale(6), a + (-a)):
+            assert all(map(is_canonical_coefficient, r.terms.values()))
 
 
 def _oracle_product(a, b):
@@ -558,7 +608,7 @@ def test_product_matches_fraction_double_loop():
         want = _oracle_product(x, y)
         assert got == want
         assert list(got) == list(want)   # same term order as well
-        assert all(type(c) is Fraction and c != 0 for c in got.values())
+        assert all(map(is_canonical_coefficient, got.values()))
     # products that cancel: (a+b)(a-b) against a^2 - b^2
     diff = a * b - (pv(TH1, 2) - pv(U, 2))
     assert diff.is_zero() and diff.terms == {}
@@ -585,7 +635,7 @@ def test_one_term_product_matches_term_by_term_product():
                     want = _oracle_product(x, y)
                     assert got == want
                     assert list(got) == list(want)
-                    assert all(type(v) is Fraction and v for v in got.values())
+                    assert all(map(is_canonical_coefficient, got.values()))
 
 
 def _oracle_differentiate(p):
@@ -647,7 +697,7 @@ def test_differentiate_and_shift_match_sorted_construction():
                           (p.shift(), _oracle_shift(p))):
             assert got.terms == want.terms
             assert list(got.terms) == list(want.terms)
-            assert all(type(c) is Fraction and c for c in got.terms.values())
+            assert all(map(is_canonical_coefficient, got.terms.values()))
             for m in got.terms:
                 keys = [v.sort_key for v, _ in m]
                 assert keys == sorted(set(keys))
