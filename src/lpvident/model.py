@@ -290,6 +290,7 @@ def parse_model(text: str) -> LpvModel:
     domain = tbody[0].text
 
     def name_list(key: str) -> list:
+        """(name, token) of each name in the list; [] when it is absent."""
         if key not in table:
             return []
         head, body = table[key]
@@ -306,7 +307,7 @@ def parse_model(text: str) -> LpvModel:
                        else (rest[1], "','"))
             raise ModelSyntaxError(f"expected {what} in {key!r} list",
                                    t.line, t.col)
-        return [part[0].text for part in parts]
+        return [(part[0].text, part[0]) for part in parts]
 
     if "A" not in table:
         raise DimensionMismatch("matrix A is required", 1, 1)
@@ -316,42 +317,47 @@ def parse_model(text: str) -> LpvModel:
     raw = {k: _split_matrix(head, body) for k, (head, body) in table.items()
            if k in _MATRICES}
 
-    state_names = name_list("states") or [f"x{i+1}" for i in range(len(raw["A"]))]
-    output_names = name_list("outputs") or [f"y{i+1}" for i in range(len(raw["C"]))]
-    input_names = name_list("inputs")
-    sched_names = name_list("scheduling")
-    param_names = name_list("params")
+    # a made-up name (x1.., y1..) has no token
+    states = name_list("states") or [(f"x{i+1}", None) for i in range(len(raw["A"]))]
+    outputs = name_list("outputs") or [(f"y{i+1}", None) for i in range(len(raw["C"]))]
+    inputs = name_list("inputs")
+    scheds = name_list("scheduling")
+    params = name_list("params")
     if "params" not in table:
+        taken = {nm for nm, _ in states + outputs + inputs + scheds}
         found = {}
         for rows in raw.values():
             for row in rows:
                 for entry in row:
                     for t in entry:
                         m = _THETA_RE.match(t.text) if t.kind == "name" else None
-                        if m and t.text not in (state_names + output_names
-                                                + input_names + sched_names):
+                        if m and t.text not in taken:
                             found[t.text] = int(m.group(1))
-        param_names = sorted(found, key=found.get)
+        params = [(nm, None) for nm in sorted(found, key=found.get)]
 
     declared = {}
-    for group, names in (("state", state_names), ("input", input_names),
-                         ("output", output_names), ("param", param_names),
-                         ("scheduling", sched_names)):
-        for nm in names:
+    for group, names in (("state", states), ("input", inputs),
+                         ("output", outputs), ("param", params),
+                         ("scheduling", scheds)):
+        for nm, tok in names:
             if nm in declared:
-                raise ModelSyntaxError(
-                    f"name {nm!r} declared as both {declared[nm]} and {group}", 1, 1)
-            declared[nm] = group
+                # at the later declaration, or at the earlier one when the
+                # later name was made up
+                first, first_tok = declared[nm]
+                at = tok or first_tok
+                raise ModelSyntaxError(f"name {nm!r} declared as both {first} "
+                                       f"and {group}", at.line, at.col)
+            declared[nm] = group, tok
 
     # the matrices are filled in below, parsed against the model's symbols
-    model = LpvModel(domain, tuple(state_names), tuple(input_names),
-                     tuple(output_names), tuple(param_names), tuple(sched_names),
+    model = LpvModel(domain, *(tuple(nm for nm, _ in names) for names in
+                               (states, inputs, outputs, params, scheds)),
                      (), (), (), ())
     symbols = {v.base: v for v in (*model.params(), *model.states(),
                                    *model.inputs(), *model.outputs(),
                                    *model.scheduling())}
 
-    n, m, p = len(state_names), len(input_names), len(output_names)
+    n, m, p = len(states), len(inputs), len(outputs)
     shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m)}
 
     def parse_matrix(key: str) -> tuple:

@@ -36,6 +36,12 @@ factors in their stored order.  `primitive_parts` is the one scale normal
 form: a list over its joint rational content, the first nonzero member
 with a positive leading coefficient (`primitive`, the gcd's PRS and the
 null-space rows all use it).
+
+The gcd is one recursion (Brown's primitive PRS): past the constant and
+monomial exits, both operands are viewed as polynomials in v, the largest
+indeterminate of either one, an operand free of v as its own content; the
+gcd of the contents recurses, the primitive parts run the PRS, and the
+result is rebuilt with (v, d) appended to each coefficient monomial.
 """
 from __future__ import annotations
 
@@ -77,11 +83,6 @@ def exact_quotient(a, b):
         return Fraction(a, b) if r else q
     q = a / b
     return q if q.denominator != 1 else q.numerator
-
-
-def _mono(d: dict) -> Monomial:
-    """The canonical monomial of an {indeterminate: exponent} dict."""
-    return tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -133,11 +134,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
         out.append((va, ea))
     # an indeterminate of b that a lacks stops j short of the end
     return tuple(out) if j == nb else None
-
-
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    db = dict(b)
-    return _mono({v: min(e, db[v]) for v, e in a if v in db})
 
 
 def mono_key(m: Monomial) -> tuple:
@@ -540,8 +536,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     if b.is_zero():
         raise ZeroPolynomialError("division by zero polynomial")
-    if a.is_zero():
-        return ZERO
     if len(b.terms) == 1:
         ((bm, bc),) = b.terms.items()
         q: dict = {}
@@ -571,22 +565,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 del r[pm]
     return Polynomial._of(q)
-
-
-def _main_var(p: Polynomial) -> Indeterminate:
-    return max(p.indeterminates(), key=lambda v: v.sort_key)
-
-
-def _as_univariate(p: Polynomial, v: Indeterminate) -> dict:
-    """View p as {degree in v: Polynomial free of v}."""
-    return {(m[0][1] if m else 0): c for m, c in collect(p, {v}).items()}
-
-
-def _from_univariate(coeffs: dict, v: Indeterminate) -> Polynomial:
-    out = ZERO
-    for d, c in coeffs.items():
-        out = out + c * Polynomial.var(v, d)
-    return out
 
 
 def _pseudo_rem(a: dict, b: dict) -> dict:
@@ -629,50 +607,54 @@ def poly_gcd(*polys: Polynomial) -> Polynomial:
 
 
 def _gcd2(a: Polynomial, b: Polynomial) -> Polynomial:
-    """poly_gcd of two nonzero polynomials: dense recursive primitive PRS."""
+    """poly_gcd of two nonzero polynomials: dense recursive primitive PRS
+    in v, the largest indeterminate of either operand."""
     if a.is_constant() or b.is_constant():
         return ONE
     if len(b.terms) == 1:
         a, b = b, a
     if len(a.terms) == 1:
-        # a monomial's divisors are monomials: take the least exponents
+        # a monomial's divisors are monomials: take the least exponents,
+        # merging the two sorted tuples as `mono_mul` does
         (m,) = a.terms
         for t in b.terms:
-            m = mono_gcd(m, t)
-        return Polynomial({m: 1})
-    va = _main_var(a)
-    vb = _main_var(b)
-    if va != vb:
-        # gcd divides both contents wrt the larger main variable
-        v = va if va.sort_key > vb.sort_key else vb
-        small, big = (b, a) if v == va else (a, b)
-        return _gcd2(poly_gcd(*_as_univariate(big, v).values()), small)
-    v = va
-    ua, ub = _as_univariate(a, v), _as_univariate(b, v)
+            low, j, nt = [], 0, len(t)
+            for v, e in m:
+                key = v.sort_key
+                while j < nt and t[j][0].sort_key < key:
+                    j += 1
+                if j == nt:
+                    break
+                if t[j][0] is v:
+                    low.append((v, min(e, t[j][1])))
+            m = tuple(low)
+        return Polynomial._of({m: 1})
+    v = max(a.indeterminates() | b.indeterminates(), key=lambda w: w.sort_key)
+    # {degree in v: coefficient}; an operand that lacks v is {0: itself},
+    # its own content
+    ua, ub = ({(m[0][1] if m else 0): c for m, c in collect(p, {v}).items()}
+              for p in (a, b))
     ca, cb = poly_gcd(*ua.values()), poly_gcd(*ub.values())
     pa = dict(zip(ua, primitive_parts(exact_div(c, ca) for c in ua.values())))
     pb = dict(zip(ub, primitive_parts(exact_div(c, cb) for c in ub.values())))
     gc = _gcd2(ca, cb)
     if max(pa) < max(pb):
         pa, pb = pb, pa
-    while True:
-        r = _pseudo_rem(pa, pb)
-        if not r:
-            g = _from_univariate(pb, v)
-            break
-        if max(r) == 0:
-            g = ONE
-            break
+    while r := _pseudo_rem(pa, pb):
         r = dict(zip(r, primitive_parts(r.values())))
         rc = poly_gcd(*r.values())
         pa, pb = pb, {d: exact_div(c, rc) for d, c in r.items()}
-    return (gc * g).primitive()
+    # v sorts after every indeterminate of its coefficients, so appending
+    # (v, d) keeps each monomial canonical, and no two terms meet
+    g = {m + ((v, d),) if d else m: c
+         for d, p in pb.items() for m, c in p.terms.items()}
+    return (gc * Polynomial._of(g)).primitive()
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return ZERO
-    return exact_div(a * b, poly_gcd(a, b)).primitive()
+    return (a * exact_div(b, poly_gcd(a, b))).primitive()
 
 
 # --- printing ---

@@ -152,7 +152,8 @@ def _segment(model: LpvModel, theta: dict, length: int, rng) -> dict:
 
 
 def _evaluate_affine(M, N, x: list, u: list, bind: dict) -> list:
-    """Rows of M x + N u with the entries evaluated at bind."""
-    return [sum((e.evaluate(bind) * v for e, v in zip(m_row + n_row, x + u)),
-                Fraction(0))
+    """Rows of M x + N u with the entries evaluated at bind, each nonzero
+    entry on its own; a zero entry adds exactly 0 and is skipped."""
+    return [sum((e.evaluate(bind) * v for e, v in zip(m_row + n_row, x + u)
+                 if not e.is_zero()), Fraction(0))
             for m_row, n_row in zip(M, N)]

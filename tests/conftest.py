@@ -114,6 +114,11 @@ def is_groebner(basis: list) -> bool:
     return True
 
 
+def mono_of(d: dict) -> tuple:
+    """The canonical monomial of an {indeterminate: exponent} dict."""
+    return tuple(sorted(d.items(), key=lambda p: p[0].sort_key))
+
+
 def is_canonical_coefficient(c) -> bool:
     """The coefficient form of `Polynomial.terms` and of numeric GPoly
     terms: a nonzero int, or a Fraction whose denominator is above 1 (never

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (chain_model, fraction_rank, random_models,
+from conftest import (chain_model, fraction_rank, mono_of, random_models,
                       signal_models)
 from lpvident import elimination
 from lpvident.classify import (GLOBAL, LOCAL, NON_IDENTIFIABLE, UNDETERMINED,
@@ -24,7 +24,6 @@ from lpvident.iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
 from lpvident.indets import parameter
 from lpvident.model import parse_model
 from lpvident.poly import Polynomial, poly_text
-from lpvident.poly import _mono as mono_of
 from lpvident.stacking import build_stack
 
 

@@ -14,6 +14,8 @@ import pytest
 import lpvident
 from conftest import (CHAIN4_DISCRETE, SIGNAL_MODEL_TEXTS,
                       is_canonical_coefficient, model_path)
+from lpvident import cli
+from lpvident.classify import UNDETERMINED, Verdict
 from lpvident.cli import AnalysisConfig, _run_verifier, main
 from lpvident.elimination import left_nullspace
 from lpvident.expr import Expression, dot, expr_text
@@ -116,6 +118,35 @@ def test_method_both_cross_check(capsys):
     assert (cross["max_rank"], cross["q"]) == (3, 3)
     # the authoritative verdict stays with the elimination engine
     assert report["verdict"]["method"] == "groebner"
+
+
+def test_engine_disagreement_exits_1_with_the_error(capsys, monkeypatch):
+    # a Jacobian rank below q under a Local Groebner verdict is an engine
+    # disagreement: exit 1, the error in the JSON and text reports
+    real = cli.jacobian_local_test
+
+    def rank_below_q(iop, params, trials, seed):
+        v = real(iop, params, trials, seed)
+        evidence = dict(v.evidence[0], max_rank=v.evidence[0]["q"] - 1)
+        return Verdict(UNDETERMINED, v.per_param, v.method, v.trials,
+                       [evidence])
+
+    monkeypatch.setattr(cli, "jacobian_local_test", rank_below_q)
+    error = ("engine disagreement: Groebner verdict Local but Jacobian "
+             "rank 2 below q")
+    code, report, _ = _run_json(capsys, "analyze", model_path("shared_gain"),
+                                "--method", "both")
+    assert code == 1
+    cross = report["verdict"]["cross_check"]
+    assert (cross["consistent"], cross["max_rank"], cross["q"]) == (False, 2, 3)
+    assert cross["error"] == error
+    assert report["verdict"]["model"] == "Local"
+    code, out, _ = _run(capsys, "analyze", model_path("shared_gain"),
+                        "--method", "both")
+    assert code == 1
+    assert ("cross-check: jacobian Undetermined, rank 2 of q=3, "
+            "consistent=False\n") in out
+    assert f"cross-check error: {error}\n" in out
 
 
 def test_method_jacobian_never_global(capsys):

@@ -256,6 +256,30 @@ MALFORMED = [
      "C: [1, 0]\n", UnknownSymbol, "undeclared name 'gamma'", 4, 8),
     ("time: continuous; params: theta1; A: [gamma]; C: [1]\n",
      UnknownSymbol, "undeclared name 'gamma'", 1, 39),
+    ("time: continuous\nA: [1 $ 2]\nC: [1]\n",
+     ModelSyntaxError, "unexpected character '$'", 2, 7),
+    ("time: continuous\nparams: theta1\nA: [theta1^theta1]\nC: [1]\n",
+     ModelSyntaxError, "exponent must be an integer literal", 3, 12),
+    ("time: continuous\nA: [0^-1]\nC: [1]\n",
+     ModelSyntaxError, "zero to a negative power", 2, 8),
+    ("time: continuous\nA: [1 2]\nC: [1]\n",
+     ModelSyntaxError, "unexpected token '2'", 2, 7),
+    ("time: continuous\nA: [(1 2]\nC: [1]\n",
+     ModelSyntaxError, "expected ')'", 2, 8),
+    ("time: continuous\nA: [)]\nC: [1]\n",
+     ModelSyntaxError, "unexpected token ')'", 2, 5),
+    ("time: continuous\nA: [1] 2\nC: [1]\n",
+     ModelSyntaxError, "expected ']' to close matrix", 2, 8),
+    ("time: continuous\n1: [1]\nA: [1]\nC: [1]\n",
+     ModelSyntaxError, "expected statement keyword, got '1'", 2, 1),
+    ("time: continuous\nA: [1]\n",
+     DimensionMismatch, "matrix C is required", 1, 1),
+    # a name declared twice is located at the later declaration, or at the
+    # earlier one when the later name (here output y1) was made up
+    ("time: continuous\ninputs: u\nscheduling: u\nA: [u]\nB: [1]\nC: [1]\n",
+     ModelSyntaxError, "name 'u' declared as both input and scheduling", 3, 13),
+    ("time: continuous\ninputs: y1\nA: [1]\nB: [1]\nC: [1]\n",
+     ModelSyntaxError, "name 'y1' declared as both input and output", 2, 9),
 ]
 
 

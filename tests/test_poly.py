@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_canonical_coefficient
+from conftest import is_canonical_coefficient, mono_of
 from lpvident.errors import ExactDivisionError, UnboundIndeterminate
 from lpvident.indets import (Indeterminate, Kind, Role, parameter,
                              ref_parameter, signal)
-from lpvident.poly import _mono as mono_of
 from lpvident.expr import Expression
 from lpvident.groebner import GPoly
-from lpvident.poly import (Polynomial, collect, exact_div, exact_quotient,
-                           mono_div, mono_key, mono_mul, poly_gcd, poly_lcm,
-                           poly_text, primitive_parts, rational_content)
+from lpvident.poly import (Polynomial, _pseudo_rem, collect, exact_div,
+                           exact_quotient, mono_div, mono_key, mono_mul,
+                           poly_gcd, poly_lcm, poly_text, primitive_parts,
+                           rational_content)
 
 TH1 = parameter("theta1", 1)
 TH2 = parameter("theta2", 2)
@@ -450,6 +450,114 @@ def test_poly_lcm_product_relation():
     assert exact_div(lcm, b) is not None
     g = poly_gcd(a, b)
     assert (a * b).primitive() == (lcm * g).primitive()
+
+
+# reference gcd and lcm for the oracle test below: the primitive PRS
+# written with a separate branch for operands whose main variables differ,
+# an exit at a constant pseudo-remainder, the gcd rebuilt by repeated +, and
+# lcm = ab / gcd
+def _two_branch_gcd(*polys):
+    nonzero = sorted((p for p in polys if p.terms), key=lambda p: len(p.terms))
+    if len(nonzero) < 2:
+        return nonzero[0].primitive() if nonzero else P()
+    g = nonzero[0]
+    for p in nonzero[1:]:
+        g = _two_branch_gcd2(g, p)
+        if g == P.const(1):
+            break
+    return g
+
+
+def _two_branch_gcd2(a, b):
+    if a.is_constant() or b.is_constant():
+        return P.const(1)
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        (m,) = a.terms
+        for t in b.terms:
+            dt = dict(t)
+            m = mono_of({v: min(e, dt[v]) for v, e in m if v in dt})
+        return P({m: 1})
+
+    def main_var(p):
+        return max(p.indeterminates(), key=lambda v: v.sort_key)
+
+    def view(p, v):
+        return {(m[0][1] if m else 0): c for m, c in collect(p, {v}).items()}
+
+    va, vb = main_var(a), main_var(b)
+    if va != vb:
+        v = va if va.sort_key > vb.sort_key else vb
+        small, big = (b, a) if v == va else (a, b)
+        return _two_branch_gcd2(_two_branch_gcd(*view(big, v).values()), small)
+    ua, ub = view(a, va), view(b, va)
+    ca, cb = _two_branch_gcd(*ua.values()), _two_branch_gcd(*ub.values())
+    pa = dict(zip(ua, primitive_parts(exact_div(c, ca) for c in ua.values())))
+    pb = dict(zip(ub, primitive_parts(exact_div(c, cb) for c in ub.values())))
+    gc = _two_branch_gcd2(ca, cb)
+    if max(pa) < max(pb):
+        pa, pb = pb, pa
+    while True:
+        r = _pseudo_rem(pa, pb)
+        if not r:
+            g = P()
+            for d, c in pb.items():
+                g = g + c * pv(va, d)
+            break
+        if max(r) == 0:
+            g = P.const(1)
+            break
+        r = dict(zip(r, primitive_parts(r.values())))
+        rc = _two_branch_gcd(*r.values())
+        pa, pb = pb, {d: exact_div(c, rc) for d, c in r.items()}
+    return (gc * g).primitive()
+
+
+def _two_branch_lcm(a, b):
+    if a.is_zero() or b.is_zero():
+        return P()
+    return exact_div(a * b, _two_branch_gcd(a, b)).primitive()
+
+
+def test_gcd_and_lcm_agree_with_the_two_branch_prs():
+    # pairs with a shared factor over a random variable set, each cofactor
+    # over its own set, so the largest indeterminates of the two operands
+    # often differ; constants, monomials and fractional coefficients mixed in
+    rng = random.Random(30)
+    indets = [TH1, TH2, U, Y, X2]
+
+    def factor(max_vars):
+        shape = rng.random()
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                         rng.randint(1, 4))
+        if shape < 0.2:
+            return P.const(coeff)
+        if shape < 0.4:
+            mono = P.const(coeff)
+            for v in rng.sample(indets, rng.randint(1, max_vars)):
+                mono = mono * pv(v, rng.randint(1, 2))
+            return mono
+        return rand_poly(rng, rng.sample(indets, rng.randint(1, max_vars)),
+                         max_terms=3)
+
+    seen = dict.fromkeys(("main variables differ", "monomial", "constant",
+                          "fractional coefficient"), 0)
+    for _ in range(240):
+        f = factor(2)
+        a, b = f * factor(3), f * factor(3)
+        for p in (a, b):
+            seen["monomial"] += len(p.terms) == 1 and not p.is_constant()
+            seen["constant"] += p.is_constant()
+            seen["fractional coefficient"] += any(
+                type(c) is Fraction for c in p.terms.values())
+        if not (a.is_constant() or b.is_constant()):
+            main = [max(p.indeterminates(), key=lambda v: v.sort_key)
+                    for p in (a, b)]
+            seen["main variables differ"] += main[0] is not main[1]
+        assert poly_gcd(a, b) == _two_branch_gcd(a, b)
+        assert poly_lcm(a, b) == _two_branch_lcm(a, b)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_mono_key_matches_aligned_degrevlex():
