@@ -14,6 +14,12 @@ Returned basis rows are divided by their polynomial gcd (folded from the
 entry with the fewest terms up) and made `poly.primitive_parts`: integer,
 content-free, first nonzero entry with a positive leading coefficient,
 which pins a one-dimensional null-space row uniquely.
+A matrix with no more rows than columns is first evaluated at one fixed
+rational point: full row rank there makes some maximal minor a nonzero
+rational function (a nonzero value proves it nonzero; Schwartz, J. ACM 27,
+1980), so the null space is empty and the elimination is skipped.  A lower
+rank or a denominator that vanishes at the point proves nothing; the
+elimination then runs.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import DenominatorVanishes
 from .expr import Expression, clear_denominators
 from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
                    poly_text, primitive_parts)
@@ -143,6 +150,8 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
+    if nrows <= ncols and _full_row_rank_at_a_point(matrix):
+        return NullspaceBasis([], nrows, 0)
     rows, row_scales = _to_poly_rows(matrix)
     # transpose: unknowns are the nrows components of omega
     T = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
@@ -165,6 +174,35 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
         basis.append(_normalize_row(
             [w * s for w, s in zip(omega, row_scales)]))
     return NullspaceBasis(basis, rk, len(basis))
+
+
+def _full_row_rank_at_a_point(matrix: list) -> bool:
+    """True when M, evaluated at one fixed rational point, has full row
+    rank.
+
+    Then some maximal minor is nonzero at a point, so it is a nonzero
+    rational function: M has full row rank and its left null space is
+    empty.  False proves nothing (the point may be a root of every maximal
+    minor, or of an entry denominator); the caller then eliminates.  The
+    point binds the matrix's indeterminates, in their canonical order, to
+    the successive values of the Park-Miller generator (CACM 31, 1988), so
+    it draws no random number and is the same in every run.
+    """
+    indets = set()
+    for row in matrix:
+        for e in row:
+            indets |= e.indeterminates()
+    point = {}
+    x = 1
+    for v in sorted(indets, key=lambda v: v.sort_key):
+        x = x * 48271 % 2147483647
+        point[v] = x
+    try:
+        values = [[e.evaluate(point) if e else 0 for e in row]
+                  for row in matrix]
+    except DenominatorVanishes:
+        return False
+    return rank_rational(values) == len(matrix)
 
 
 def _normalize_row(row: list) -> list:

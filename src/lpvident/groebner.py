@@ -19,6 +19,17 @@ a leading one.  Reduction works in place on one term dict, and the result
 is inter-reduced to the unique reduced basis with monic generators.  Pair and
 degree budgets convert runaway computations into BudgetExceeded; the pair
 budget counts the reductions performed, not the pairs skipped.
+
+The loop stops early at the maximal ideal of a point c, the ideal of every
+Global model, whose generators all vanish at the reference point.  On entry,
+and whenever a new member's leading monomial is a single variable, it checks
+whether every variable x_i leads some member; those members then
+inter-reduce to x_i - c_i, which lie in the ideal, and if every generator
+vanishes at c the ideal is exactly <x_i - c_i> (Cox, Little and O'Shea,
+ch. 4): that is its reduced basis, returned with no further pair reduced.
+A generator that does not vanish at c makes the ideal the unit ideal, which
+the loop goes on to find.  The members added on the way lie in the ideal of
+the generators, so only the generators are evaluated.
 """
 from __future__ import annotations
 
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import BudgetExceeded
-from .expr import Expression, expr_text
+from .expr import Expression, expr_text, substitute_poly
 from .indets import Indeterminate, Kind
 from .poly import Polynomial, collect, exact_quotient
 
@@ -184,9 +195,11 @@ def groebner_basis(generators: list, variables,
     """Reduced lex Groebner basis of the ideal spanned by the generators.
 
     The variables are listed largest first; the generators are Polynomials
-    in the variables and reference parameters.  Raises
-    BudgetExceeded when a pair reduction beyond the first pair_budget is
-    about to run, or when an intermediate degree outgrows degree_budget.
+    in the variables and reference parameters.  Returns as soon as the
+    ideal is known to be the maximal ideal of a point (`_point_basis`).
+    Raises BudgetExceeded when a pair reduction beyond the first
+    pair_budget is about to run, or when an intermediate degree outgrows
+    degree_budget.
     """
     variables = tuple(variables)
     basis = [gp.monic() for gp in (gpoly_from_polynomial(g, variables)
@@ -195,6 +208,14 @@ def groebner_basis(generators: list, variables,
         return GroebnerBasis([], variables)
 
     leads = [max(g.terms) for g in basis]
+    # variable index -> the first member whose leading monomial is it alone
+    linear: dict = {}
+    for k, m in enumerate(leads):
+        if sum(m) == 1:
+            linear.setdefault(m.index(1), k)
+    point = _point_basis(basis, linear, generators)
+    if point is not None:
+        return GroebnerBasis(point, variables)
     pairs = [(_lcm(leads[i], leads[j]), i, j)
              for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
@@ -226,11 +247,43 @@ def groebner_basis(generators: list, variables,
         k = len(basis)
         basis.append(r.monic())
         leads.append(max(r.terms))
+        if sum(leads[k]) == 1:
+            linear[leads[k].index(1)] = k
+            point = _point_basis(basis, linear, generators)
+            if point is not None:
+                return GroebnerBasis(point, variables, reductions)
         for t in range(k):
             heapq.heappush(pairs, (_lcm(leads[t], leads[k]), t, k))
             pending.add((t, k))
 
     return GroebnerBasis(_inter_reduce(basis, leads), variables, reductions)
+
+
+def _point_basis(basis: list, linear: dict, generators: list) -> list | None:
+    """The reduced basis x_i - c_i of the maximal ideal at c, when it is
+    the ideal of the generators; else None.
+
+    linear maps every variable index it holds to a basis member whose
+    leading monomial is that variable alone.  Once every variable has one,
+    those members inter-reduce to x_i - c_i, which lie in the ideal; the
+    ideal is then the maximal ideal at c exactly when every generator
+    vanishes at c.  Otherwise the ideal is the unit ideal, and the caller's
+    pair loop finds it.
+    """
+    variables = basis[0].variables
+    if len(linear) < len(variables):
+        return None
+    members = [basis[k] for k in linear.values()]
+    # decreasing leading term: x_1 - c_1 first, so c is in variable order
+    reduced = _inter_reduce(members, [max(g.terms) for g in members])
+    zero = (0,) * len(variables)
+    c = {v: -g.terms.get(zero, 0) for v, g in zip(variables, reduced)}
+    # a generator in the variables alone, at a point of numbers, is a number
+    numbers = not any(isinstance(x, Expression) for x in c.values())
+    if all(g.evaluate(c) == 0 if numbers and g.indeterminates() <= c.keys()
+           else substitute_poly(g, c).is_zero() for g in generators):
+        return reduced
+    return None
 
 
 def _inter_reduce(basis: list, leads: list) -> list:

@@ -110,12 +110,14 @@ def discrete_trajectory_check(model: LpvModel, iop: IopSet, theta: dict,
     if steps <= iop.order:
         raise ValueError(f"{steps} steps leave no window at order {iop.order}")
     rng = random.Random(seed)
+    matrices = [_at_theta(M, theta)
+                for M in (model.A, model.B, model.C, model.D)]
     windows = 0
     worst = Fraction(0)
     for _ in range(steps - iop.order):
         for _attempt in range(25):
             try:
-                bind = _segment(model, theta, iop.order + 1, rng)
+                bind = _segment(model, matrices, theta, iop.order + 1, rng)
                 break
             except DenominatorVanishes:
                 continue
@@ -128,12 +130,34 @@ def discrete_trajectory_check(model: LpvModel, iop: IopSet, theta: dict,
     return TrajectoryReport(worst == 0, windows, worst)
 
 
-def _segment(model: LpvModel, theta: dict, length: int, rng) -> dict:
+def _at_theta(M, theta: dict) -> list:
+    """M with each entry that holds only parameters evaluated at theta once.
+
+    An entry that holds a signal, or whose denominator vanishes at theta,
+    stays an Expression and is evaluated at every step, where a vanishing
+    denominator redraws the segment.
+    """
+    def value(e):
+        if e.indeterminates().issubset(theta):
+            try:
+                return e.evaluate(theta)
+            except DenominatorVanishes:
+                pass
+        return e
+    return [[value(e) for e in row] for row in M]
+
+
+def _segment(model: LpvModel, matrices: list, theta: dict, length: int,
+             rng) -> dict:
     """Bind theta plus the outputs, inputs and scheduling signals of an exact
-    trajectory of `length` steps, step k at shift order k."""
+    trajectory of `length` steps, step k at shift order k.
+
+    matrices holds A, B, C and D as `_at_theta` leaves them.
+    """
     def draw():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
+    A, B, C, D = matrices
     states, outs = model.states(), model.outputs()
     ins, scheds = model.inputs(), model.scheduling()
     x = [draw() for _ in states]
@@ -144,16 +168,17 @@ def _segment(model: LpvModel, theta: dict, length: int, rng) -> dict:
         bind.update(zip(ins, u))
         bind.update((s, draw()) for s in scheds)
         bind.update(zip(states, x))
-        bind.update(zip(outs, _evaluate_affine(model.C, model.D, x, u, bind)))
+        bind.update(zip(outs, _evaluate_affine(C, D, x, u, bind)))
         window.update((s.with_order(k), bind[s]) for s in outs + ins + scheds)
         if k + 1 < length:
-            x = _evaluate_affine(model.A, model.B, x, u, bind)
+            x = _evaluate_affine(A, B, x, u, bind)
     return window
 
 
 def _evaluate_affine(M, N, x: list, u: list, bind: dict) -> list:
-    """Rows of M x + N u with the entries evaluated at bind, each nonzero
-    entry on its own; a zero entry adds exactly 0 and is skipped."""
-    return [sum((e.evaluate(bind) * v for e, v in zip(m_row + n_row, x + u)
-                 if not e.is_zero()), Fraction(0))
+    """Rows of M x + N u, each nonzero entry on its own: a number as it is,
+    an Expression evaluated at bind; a zero entry adds exactly 0 and is
+    skipped."""
+    return [sum(((e.evaluate(bind) if isinstance(e, Expression) else e) * v
+                 for e, v in zip(m_row + n_row, x + u) if e), Fraction(0))
             for m_row, n_row in zip(M, N)]

@@ -190,8 +190,9 @@ def test_no_coverage_is_undetermined_exit_3(capsys):
 
 
 def test_classification_budget_exhaustion_exit_3(capsys):
-    code, report, _ = _run_json(capsys, "analyze",
-                                model_path("air_handling_unit"),
+    # henon's ideal is not a point's, so its lex(params) basis reduces two
+    # pairs and a budget of one runs out in every trial
+    code, report, _ = _run_json(capsys, "analyze", model_path("henon"),
                                 "--pair-budget", "1")
     assert code == 3
     assert report["verdict"]["model"] == "Undetermined"
@@ -200,6 +201,22 @@ def test_classification_budget_exhaustion_exit_3(capsys):
         # the trial's basis is the last parameter's elimination basis
         assert trial["basis_error"] == trial["elimination"][last]
         assert "pair budget 1" in trial["basis_error"]
+
+
+def test_point_ideal_needs_no_pair_budget(capsys):
+    # air_handling_unit's ideal is the maximal ideal of theta_ref: the basis
+    # returns after at most one reduction, so a budget of one suffices and
+    # the report is the default one
+    code, report, _ = _run_json(capsys, "analyze",
+                                model_path("air_handling_unit"),
+                                "--pair-budget", "1")
+    assert code == 0
+    assert report["verdict"]["model"] == "Global"
+    _, default, _ = _run_json(capsys, "analyze",
+                              model_path("air_handling_unit"))
+    assert report["config"].pop("pair_budget") == 1
+    default["config"].pop("pair_budget")
+    assert report == default
 
 
 def test_nonpositive_budget_rejected(capsys):

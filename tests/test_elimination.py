@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from conftest import fraction_rank, random_models
+from lpvident import elimination
 from lpvident.elimination import (_bareiss_echelon, _normalize_row,
                                   _pivot_weight, _to_poly_rows, left_nullspace,
                                   rank_rational)
@@ -278,3 +279,47 @@ def test_shortest_first_content_matches_column_order(goldens):
                     _column_order_normalize(scaled)
                 checked += 1
     assert checked > 0
+
+
+def _bareiss_only(monkeypatch, matrix):
+    with monkeypatch.context() as m:
+        m.setattr(elimination, "_full_row_rank_at_a_point", lambda M: False)
+        return left_nullspace(matrix)
+
+
+def test_point_rank_falls_through_to_bareiss(monkeypatch):
+    # the fixed point binds the first indeterminate in canonical order to
+    # 48271, and the first two matrices hold u alone: at that point the first
+    # has rank 1 and the second a vanishing denominator, while the third is
+    # rank-deficient everywhere; each falls through and matches Bareiss alone
+    u, v = (Expression.var(signal(b, Role.INPUT)) for b in ("u", "v"))
+    one = E_ONE
+    drops = [[u - 48271, u], [E_ZERO, one]]
+    pole = [[one / (u - 48271), one], [one, u]]
+    deficient = [[u, u * v], [v, v * v]]
+    assert not elimination._full_row_rank_at_a_point(drops)
+    assert not elimination._full_row_rank_at_a_point(pole)
+    assert not elimination._full_row_rank_at_a_point(deficient)
+    for matrix, rank in ((drops, 2), (pole, 2), (deficient, 1)):
+        want = _bareiss_only(monkeypatch, matrix)
+        got = left_nullspace(matrix)
+        assert (got.rows, got.rank, got.dimension) == \
+               (want.rows, want.rank, want.dimension)
+        assert got.rank == rank and got.dimension == 2 - rank
+
+
+def test_point_rank_certifies_empty_null_spaces(goldens, monkeypatch):
+    # every stack with no more rows than columns and full row rank is
+    # certified at the point, with Bareiss's rank and an empty basis
+    certified = 0
+    for model in goldens.values():
+        for w in range(4):
+            O = build_stack(model, w).O
+            want = _bareiss_only(monkeypatch, O)
+            if want.dimension == 0 and len(O) <= len(O[0]):
+                assert elimination._full_row_rank_at_a_point(O)
+                certified += 1
+            got = left_nullspace(O)
+            assert (got.rows, got.rank, got.dimension) == \
+                   (want.rows, want.rank, want.dimension)
+    assert certified >= 5

@@ -100,9 +100,10 @@ def test_symbolic_basis_burgers(burgers):
 
 
 def _numeric_chain3_generators():
-    # discrete Chain(3), q = 5, at w = 4: a numeric basis with enough
-    # pairs (182 reductions without the chain criterion, 19 with it) to
-    # exercise the pair loop
+    # discrete Chain(3), q = 5, at w = 4: a numeric basis with many pairs
+    # (182 reductions without the chain criterion, 19 with it), but whose
+    # generators already hold theta_i - c_i for every i, so the exit at
+    # the maximal ideal returns before any pair is reduced
     model = parse_model(
         "time: discrete\nstates: x1, x2, x3\ninputs: u\noutputs: y\n"
         "params: theta1, theta2, theta3, theta4, theta5\n"
@@ -117,10 +118,20 @@ def _numeric_chain3_basis():
     return groebner_basis(*_numeric_chain3_generators())
 
 
+def _numeric_shared_gain_generators():
+    # shared_gain at w = 4: fifteen generators of an ideal that is not
+    # maximal (theta2^2 - 9), so every one of its 13 reductions runs
+    model = parse_model(model_path("shared_gain").read_text())
+    summ, params = _summary_and_params(model, 4)
+    ref = {p: Fraction(v) for p, v in zip(params, (2, 3, 5))}
+    return evaluate_summary(summ, params, ref), params
+
+
 # S-polynomial reductions of each symbolic golden basis: the pair loop's
-# selection and criteria fix these counts, so a change to either shows here
+# selection and criteria fix these counts, so a change to either shows here;
+# air_handling_unit's ideal is maximal after one reduction
 PINNED_PAIR_REDUCTIONS = {"product_coupling": 2, "shared_gain": 2,
-                          "air_handling_unit": 3, "henon": 2,
+                          "air_handling_unit": 1, "henon": 2,
                           "burgers_discretized": 1}
 
 
@@ -131,7 +142,7 @@ def test_pair_reductions_pinned(goldens):
     gb = _numeric_chain3_basis()
     assert gb.texts() == ["theta1 - 2", "theta2 - 3", "theta3 - 5",
                           "theta4 - 7", "theta5 - 11"]
-    assert gb.pair_reductions == 19
+    assert gb.pair_reductions == 0
 
 
 def test_coefficient_types(goldens):
@@ -234,8 +245,9 @@ def test_pair_budget_exceeded():
 
 
 def test_pair_budget_bounds_performed_reductions(monkeypatch):
-    # the numeric Chain(3) basis performs 19 reductions: a budget of 19
-    # suffices, and a budget of 18 stops before the 19th S-polynomial
+    # the numeric shared_gain basis at w = 4 performs 13 reductions: a
+    # budget of 13 suffices, and a budget of 12 stops before the 13th
+    # S-polynomial
     calls = []
 
     def counting(f, g):
@@ -243,15 +255,40 @@ def test_pair_budget_bounds_performed_reductions(monkeypatch):
         return s_polynomial(f, g)
 
     monkeypatch.setattr("lpvident.groebner.s_polynomial", counting)
-    gens, params = _numeric_chain3_generators()
-    gb = groebner_basis(gens, params, pair_budget=19)
-    assert gb.pair_reductions == 19
-    assert len(calls) == 19
+    gens, params = _numeric_shared_gain_generators()
+    gb = groebner_basis(gens, params, pair_budget=13)
+    assert gb.texts() == ["theta1 - 2", "theta2^2 - 9", "theta3 - 5"]
+    assert gb.pair_reductions == 13
+    assert len(calls) == 13
     calls.clear()
     with pytest.raises(BudgetExceeded) as info:
-        groebner_basis(gens, params, pair_budget=18)
-    assert "pair budget 18" in str(info.value)
-    assert len(calls) == 18
+        groebner_basis(gens, params, pair_budget=12)
+    assert "pair budget 12" in str(info.value)
+    assert len(calls) == 12
+
+
+def test_maximal_ideal_exit_checks_every_member():
+    # theta_i - c_i for every i is not enough: theta1 - 3 does not vanish
+    # at (1, 2), so the ideal is the unit ideal, not the point's
+    t1, t2 = parameter("theta1", 1), parameter("theta2", 2)
+    p1, p2 = Polynomial.var(t1), Polynomial.var(t2)
+    gb = groebner_basis([p1 - 1, p2 - 2, p1 - 3], [t1, t2])
+    assert gb.texts() == ["1"]
+    gb = groebner_basis([p1 - 1, p2 - 2, p1 * p2 - 2], [t1, t2])
+    assert gb.texts() == ["theta1 - 1", "theta2 - 2"]
+    assert gb.pair_reductions == 0
+
+
+def test_maximal_ideal_exit_mid_loop_matches_oracle(goldens):
+    # air_handling_unit's generators fix no parameter alone; one reduction
+    # gives the last linear leading term, and the basis returned there is
+    # the one the all-pairs oracle reaches after every pair
+    summ, params = _summary_and_params(goldens["air_handling_unit"])
+    gens = evaluate_summary(summ, params)
+    want, oracle_reductions = _all_pairs_basis(gens, params)
+    gb = groebner_basis(gens, params)
+    assert gb.texts() == want
+    assert 0 < gb.pair_reductions < oracle_reductions
 
 
 def test_degree_budget_exceeded():

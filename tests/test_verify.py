@@ -9,7 +9,7 @@ from conftest import (CHAIN4_DISCRETE, chain_model, load_model,
                       rational_models, signal_models)
 from lpvident import verify
 from lpvident.elimination import left_nullspace
-from lpvident.errors import ModelError
+from lpvident.errors import DenominatorVanishes, ModelError
 from lpvident.expr import Expression, expr_text
 from lpvident.indets import Kind, Role, signal
 from lpvident.iop import IopSet, form_iop
@@ -275,6 +275,44 @@ def test_trajectory_check_redraws_singular_segment():
     assert rep.ok
     assert rep.windows == 38
     assert rep.max_residual == 0
+
+
+def test_parameter_entries_evaluated_once_match_per_step(henon, burgers,
+                                                         monkeypatch):
+    # entries that hold only parameters are evaluated once at theta; the
+    # per-step oracle evaluates every entry at every step: same residuals,
+    # on correct and on corrupted equations
+    models = [henon, burgers, chain_model(2, "discrete"),
+              chain_model(3, "discrete"), rational_models()[1]]
+    cases = []
+    for model in models:
+        _, iop = _iop(model, len(model.states()))
+        theta = {p: Fraction(v)
+                 for p, v in zip(model.params(), (2, 3, 5, 7, 11))}
+        cases += [(model, iop, theta), (model, _corrupt(iop), theta)]
+    once = [discrete_trajectory_check(*c, steps=12, seed=3) for c in cases]
+    monkeypatch.setattr(verify, "_at_theta", lambda M, theta: M)
+    per_step = [discrete_trajectory_check(*c, steps=12, seed=3)
+                for c in cases]
+    assert once == per_step
+    assert [r.ok for r in once] == [True, False] * len(models)
+
+
+def test_parameter_entry_with_a_pole_at_theta_stays_per_step(burgers):
+    # an entry of parameters alone whose denominator vanishes at theta is
+    # not evaluated up front: every segment meets it, and the check gives
+    # up with the redraw message
+    _, iop = _iop(burgers)
+    theta1 = burgers.params()[0]
+    pole = Expression(Polynomial.const(1),
+                      Polynomial.var(theta1) - Polynomial.const(2))
+    A = [list(row) for row in burgers.A]
+    A[0][0] = pole
+    model = dataclasses.replace(burgers, A=A)
+    theta = {p: Fraction(v) for p, v in zip(burgers.params(), (2, 3))}
+    assert verify._at_theta(A, theta)[0][0] is pole
+    with pytest.raises(DenominatorVanishes, match="off singularities"):
+        discrete_trajectory_check(model, iop, theta, steps=6, seed=0)
 
 
 def test_trajectory_check_flags_corruption(henon):
