@@ -257,7 +257,8 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
     sum_m e_j(m) value(m) in column j, e_j(m) the exponent of theta_j in
     term m, one pass over the terms and no partial derivatives.  Every
     drawn theta_j is at least 1/13 and every common denominator is nonzero,
-    so both scalings are nonsingular and J diag(theta) has J's rank.
+    so both scalings are nonsingular and J diag(theta) has J's rank.  The
+    values drawn at one point are distinct: a repeat moves up by 1 until new.
     """
     q = len(params)
     if q and not iop.equations:
@@ -289,8 +290,13 @@ def jacobian_local_test(iop: IopSet, params: list, trials: int = 5,
     for _ in range(trials):
         trial_best = 0
         for _ in range(POINTS_PER_TRIAL):
-            bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13))
-                    for v in vars_}
+            bind, drawn = {}, set()
+            for v in vars_:
+                x = Fraction(rng.randint(1, 97), rng.randint(1, 13))
+                while x in drawn:
+                    x += 1
+                drawn.add(x)
+                bind[v] = x
             rows = []
             for eq, terms in zip(eqs, layout):
                 row = [0] * q

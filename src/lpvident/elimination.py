@@ -6,7 +6,7 @@ tests are canonical-form tests, never numeric.  An update skips an entry
 that is zero and would only gain a product with a zero factor; stacked
 matrices are mostly zero.
 Rows with rational-function entries are first scaled polynomial by their
-denominator product; the scale is restored on the computed null-space
+denominator lcm; the scale is restored on the computed null-space
 vectors.  Back-substitution stays polynomial too: the free entry is set to
 the last pivot d, the rank-r minor of the pivot columns, so by Cramer's rule
 every other entry is a minor and each division by a pivot is exact.
@@ -14,6 +14,10 @@ Returned basis rows are divided by their polynomial gcd (folded from the
 entry with the fewest terms up) and made `poly.primitive_parts`: integer,
 content-free, first nonzero entry with a positive leading coefficient,
 which pins a one-dimensional null-space row uniquely.
+The basis is thus an invariant of the matrix, and the pivot rule only
+affects cost: whatever rows the pivots come from, the free columns of M^T
+are those that earlier columns span, and each row is the one such kernel
+vector that is nonzero in a single free column.
 A matrix with no more rows than columns is first evaluated at one fixed
 rational point: full row rank there makes some maximal minor a nonzero
 rational function (a nonzero value proves it nonzero; Schwartz, J. ACM 27,
@@ -30,7 +34,7 @@ from math import gcd, lcm
 from .errors import DenominatorVanishes
 from .expr import Expression, clear_denominators
 from .poly import (ONE, ZERO, Polynomial, add_terms_into, exact_div, poly_gcd,
-                   poly_text, primitive_parts)
+                   primitive_parts)
 
 
 @dataclass
@@ -41,16 +45,17 @@ class NullspaceBasis:
 
 
 def _pivot_weight(p: Polynomial) -> tuple:
-    """Pivot preference: fewer/smaller first, deterministic tie-break."""
-    return (p.total_degree(), len(p.terms), poly_text(p))
+    """Pivot cost, lower degree and then fewer terms first, which keeps the
+    fraction-free entries small; ties go to the first candidate row."""
+    return (p.total_degree(), len(p.terms))
 
 
 def _bareiss_echelon(M: list):
     """Fraction-free row echelon on a polynomial matrix, in place.
 
-    Returns (pivots, rank) where pivots is a list of (row, col) in
-    elimination order.  Column order is left to right; within a column the
-    pivot row minimizes (total degree, term count, canonical text).
+    Returns the pivots, a list of (row, col) in elimination order; the
+    rank is their number.  Column order is left to right; within a column
+    the pivot row minimizes `_pivot_weight`.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -83,7 +88,7 @@ def _bareiss_echelon(M: list):
         pivots.append((r, c))
         prev = piv
         r += 1
-    return pivots, len(pivots)
+    return pivots
 
 
 def rank_rational(rows: list) -> int:
@@ -130,17 +135,6 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _to_poly_rows(matrix: list) -> tuple:
-    """Clear denominators row-wise; returns (poly rows, per-row scales)."""
-    rows = []
-    scales = []
-    for row in matrix:
-        cleared, common = clear_denominators(list(row))
-        rows.append(cleared)
-        scales.append(common)
-    return rows, scales
-
-
 def left_nullspace(matrix: list) -> NullspaceBasis:
     """Basis of {omega : omega M = 0} for a matrix of Expression entries.
 
@@ -152,10 +146,11 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
     ncols = len(matrix[0]) if nrows else 0
     if nrows <= ncols and _full_row_rank_at_a_point(matrix):
         return NullspaceBasis([], nrows, 0)
-    rows, row_scales = _to_poly_rows(matrix)
+    # scale each row polynomial by its denominator lcm
+    rows, row_scales = zip(*map(clear_denominators, matrix))
     # transpose: unknowns are the nrows components of omega
-    T = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    pivots, rk = _bareiss_echelon(T) if ncols else ([], 0)
+    T = [list(col) for col in zip(*rows)]
+    pivots = _bareiss_echelon(T)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(nrows) if c not in pivot_cols]
 
@@ -173,7 +168,7 @@ def left_nullspace(matrix: list) -> NullspaceBasis:
         # restore the row scaling of the original matrix
         basis.append(_normalize_row(
             [w * s for w, s in zip(omega, row_scales)]))
-    return NullspaceBasis(basis, rk, len(basis))
+    return NullspaceBasis(basis, len(pivots), len(basis))
 
 
 def _full_row_rank_at_a_point(matrix: list) -> bool:

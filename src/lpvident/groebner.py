@@ -16,14 +16,16 @@ leading term divides when neither (i, k) nor (j, k) is still pending.
 Every generator is made monic when it joins the basis, so reduction and
 S-polynomials scale by the reducee's own coefficients and never divide by
 a leading one.  Reduction works in place on one term dict, and the result
-is inter-reduced to the unique reduced basis with monic generators.  Pair and
+is inter-reduced to the unique reduced basis with monic generators (Cox,
+Little and O'Shea, ch. 2 section 7), so the order of the generators and of
+the pairs only affects cost, and the count of pair reductions.  Pair and
 degree budgets convert runaway computations into BudgetExceeded; the pair
 budget counts the reductions performed, not the pairs skipped.
 
 The loop stops early at the maximal ideal of a point c, the ideal of every
 Global model, whose generators all vanish at the reference point.  On entry,
 and whenever a new member's leading monomial is a single variable, it checks
-whether every variable x_i leads some member; those members then
+whether every variable x_i leads some member; the first such members then
 inter-reduce to x_i - c_i, which lie in the ideal, and if every generator
 vanishes at c the ideal is exactly <x_i - c_i> (Cox, Little and O'Shea,
 ch. 4): that is its reduced basis, returned with no further pair reduced.
@@ -208,12 +210,7 @@ def groebner_basis(generators: list, variables,
         return GroebnerBasis([], variables)
 
     leads = [max(g.terms) for g in basis]
-    # variable index -> the first member whose leading monomial is it alone
-    linear: dict = {}
-    for k, m in enumerate(leads):
-        if sum(m) == 1:
-            linear.setdefault(m.index(1), k)
-    point = _point_basis(basis, linear, generators)
+    point = _point_basis(basis, leads, generators)
     if point is not None:
         return GroebnerBasis(point, variables)
     pairs = [(_lcm(leads[i], leads[j]), i, j)
@@ -248,34 +245,33 @@ def groebner_basis(generators: list, variables,
         basis.append(r.monic())
         leads.append(max(r.terms))
         if sum(leads[k]) == 1:
-            linear[leads[k].index(1)] = k
-            point = _point_basis(basis, linear, generators)
+            point = _point_basis(basis, leads, generators)
             if point is not None:
                 return GroebnerBasis(point, variables, reductions)
         for t in range(k):
             heapq.heappush(pairs, (_lcm(leads[t], leads[k]), t, k))
             pending.add((t, k))
 
-    return GroebnerBasis(_inter_reduce(basis, leads), variables, reductions)
+    return GroebnerBasis(_inter_reduce(basis), variables, reductions)
 
 
-def _point_basis(basis: list, linear: dict, generators: list) -> list | None:
+def _point_basis(basis: list, leads: list, generators: list) -> list | None:
     """The reduced basis x_i - c_i of the maximal ideal at c, when it is
     the ideal of the generators; else None.
 
-    linear maps every variable index it holds to a basis member whose
-    leading monomial is that variable alone.  Once every variable has one,
-    those members inter-reduce to x_i - c_i, which lie in the ideal; the
-    ideal is then the maximal ideal at c exactly when every generator
-    vanishes at c.  Otherwise the ideal is the unit ideal, and the caller's
-    pair loop finds it.
+    leads holds the members' leading monomials.  Once every variable alone
+    leads some member, the first such members inter-reduce to x_i - c_i,
+    which lie in the ideal; the ideal is then the maximal ideal at c
+    exactly when every generator vanishes at c.  Otherwise the ideal is the
+    unit ideal, and the caller's pair loop finds it.  Any other choice of
+    members gives the same c, since a proper ideal holds one x_i - c_i.
     """
     variables = basis[0].variables
-    if len(linear) < len(variables):
+    if len({m for m in leads if sum(m) == 1}) < len(variables):
         return None
-    members = [basis[k] for k in linear.values()]
-    # decreasing leading term: x_1 - c_1 first, so c is in variable order
-    reduced = _inter_reduce(members, [max(g.terms) for g in members])
+    # inter-reduction keeps the first member per leading monomial and puts
+    # x_1 - c_1 first, so c is in variable order
+    reduced = _inter_reduce([g for g, m in zip(basis, leads) if sum(m) == 1])
     zero = (0,) * len(variables)
     c = {v: -g.terms.get(zero, 0) for v, g in zip(variables, reduced)}
     # a generator in the variables alone, at a point of numbers, is a number
@@ -286,12 +282,13 @@ def _point_basis(basis: list, linear: dict, generators: list) -> list | None:
     return None
 
 
-def _inter_reduce(basis: list, leads: list) -> list:
+def _inter_reduce(basis: list) -> list:
     """Minimal then fully reduced basis, monic, deterministic order.
 
     No other leading monomial of a minimal basis divides a member's, so
     reducing the member by the others keeps its monic leading term.
     """
+    leads = [max(g.terms) for g in basis]
     # drop generators whose leading monomial is divisible by another's
     kept = [g for i, (g, mi) in enumerate(zip(basis, leads))
             if not any(j != i and _divides(mj, mi) and (mj != mi or j < i)

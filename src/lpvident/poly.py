@@ -30,9 +30,8 @@ denominator (`term_values`) and makes one Fraction of their sum.  All
 arithmetic is exact; there is no floating point anywhere.
 
 The canonical monomial order is degree-reverse-lexicographic over the
-canonical indeterminate order.  It fixes leading terms, printing order,
-sign normalization and elimination pivot tie-breaks; a monomial prints its
-factors in their stored order.  `primitive_parts` is the one scale normal
+canonical indeterminate order.  It fixes leading terms, printing order and
+sign normalization; a monomial prints its factors in their stored order.  `primitive_parts` is the one scale normal
 form: a list over its joint rational content, the first nonzero member
 with a positive leading coefficient (`primitive`, the gcd's PRS and the
 null-space rows all use it).

@@ -89,6 +89,13 @@ D: [u - theta2]
 """,
 )
 
+# C = [u, u*v; v, v^2] has rank 1, so w = 0 already gives the
+# parameter-free equation v*y1 - u*y2, which covers both outputs
+RANK_DEFICIENT_C = ("time: continuous\nstates: x1, x2\ninputs: u, v\n"
+                    "outputs: y1, y2\nparams: theta1, theta2\n"
+                    "A: [theta1, 1; 0, theta2]\nB: [1, 0; 0, 1]\n"
+                    "C: [u, u*v; v, v^2]\n")
+
 
 def signal_models() -> list:
     """SIGNAL_MODEL_TEXTS in both time domains."""

@@ -21,7 +21,8 @@ from lpvident.expr import Expression
 from lpvident.groebner import (gpoly_text, groebner_basis,
                                univariate_members)
 from lpvident.iop import ExhaustiveSummary, IopSet, extract_summary, form_iop
-from lpvident.indets import parameter
+from lpvident.indets import Role, parameter
+from lpvident.indets import signal as signal_var
 from lpvident.model import parse_model
 from lpvident.poly import Polynomial, poly_text
 from lpvident.stacking import build_stack
@@ -397,8 +398,13 @@ def _oracle_points(iop, params, trials, seed, points_per_trial=5):
     points = []
     for _ in range(trials):
         for _ in range(points_per_trial):
-            bind = {v: Fraction(rng.randint(1, 97), rng.randint(1, 13))
-                    for v in vars_}
+            bind, drawn = {}, set()
+            for v in vars_:
+                x = Fraction(rng.randint(1, 97), rng.randint(1, 13))
+                while x in drawn:
+                    x += 1
+                drawn.add(x)
+                bind[v] = x
             values = [[cell.evaluate(bind) for cell in row] for row in jac]
             points.append((bind, values, fraction_rank(values)))
             if points[-1][2] == q:
@@ -460,6 +466,32 @@ def test_jacobian_ranks_match_partial_derivative_oracle(goldens,
                         if want:
                             ratios.add(x / bind[p] / want)
                     assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def test_jacobian_draws_distinct_values_at_each_point(monkeypatch):
+    # theta1*theta2 times 40 input samples: J has rank 1 < q = 2, so every
+    # point of every trial is drawn, and 43 values of randint(1, 97) /
+    # randint(1, 13) would repeat at most points
+    t1, t2 = parameter("theta1", 1), parameter("theta2", 2)
+    samples = sum((Polynomial.var(signal_var("u", Role.INPUT, k))
+                   for k in range(40)), Polynomial())
+    eq = Polynomial.var(t1) * Polynomial.var(t2) * samples
+    seen = []
+    real = Polynomial.term_values
+
+    def recorded(self, bindings):
+        seen.append(dict(bindings))
+        return real(self, bindings)
+
+    monkeypatch.setattr(Polynomial, "term_values", recorded)
+    v = jacobian_local_test(IopSet([eq], 1, True), [t1, t2], trials=5)
+    assert v.evidence[0]["ranks"] == [1] * 5
+    # two equations, the given one and its shift, at each of 25 points
+    assert len(seen) == 50
+    for bind in seen:
+        assert len(bind) == 43
+        assert len(set(bind.values())) == 43
+        assert min(bind.values()) >= Fraction(1, 13)
 
 
 def test_jacobian_without_equations_raises():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lpvident
-from conftest import (CHAIN4_DISCRETE, SIGNAL_MODEL_TEXTS,
+from conftest import (CHAIN4_DISCRETE, RANK_DEFICIENT_C, SIGNAL_MODEL_TEXTS,
                       is_canonical_coefficient, model_path)
 from lpvident import cli
 from lpvident.classify import UNDETERMINED, Verdict
@@ -311,14 +311,6 @@ def test_parameter_free_summary(tmp_path, capsys):
     assert "  psi: 2*y[k+1] - y[k] - 2*u[k]\n" in out
     assert "  no parameter dependence in the summary\n" in out
     assert "  summary: {}\n" in out
-
-
-# C = [u, u*v; v, v^2] has rank 1, so w = 0 already gives the
-# parameter-free equation v*y1 - u*y2, which covers both outputs
-RANK_DEFICIENT_C = ("time: continuous\nstates: x1, x2\ninputs: u, v\n"
-                    "outputs: y1, y2\nparams: theta1, theta2\n"
-                    "A: [theta1, 1; 0, theta2]\nB: [1, 0; 0, 1]\n"
-                    "C: [u, u*v; v, v^2]\n")
 
 
 def test_jacobian_counts_only_equations_with_a_parameter(tmp_path, capsys):

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
-from conftest import fraction_rank, random_models
+from conftest import (RANK_DEFICIENT_C, fraction_rank, random_models,
+                      signal_models)
 from lpvident import elimination
 from lpvident.elimination import (_bareiss_echelon, _normalize_row,
-                                  _pivot_weight, _to_poly_rows, left_nullspace,
-                                  rank_rational)
+                                  _pivot_weight, left_nullspace, rank_rational)
 from lpvident.expr import (E_ONE, E_ZERO, Expression, clear_denominators,
                            expr_text)
 from lpvident.indets import Role, parameter, signal
@@ -165,9 +165,9 @@ def _field_nullspace_rows(matrix):
     """Oracle: back-substitution in the rational-function field, one
     Expression per operation, from omega[f] = 1."""
     nrows = len(matrix)
-    rows, scales = _to_poly_rows(matrix)
+    rows, scales = zip(*map(clear_denominators, matrix))
     T = [[rows[i][j] for i in range(nrows)] for j in range(len(matrix[0]))]
-    pivots, _ = _bareiss_echelon(T)
+    pivots = _bareiss_echelon(T)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(nrows):
@@ -237,7 +237,7 @@ def _dense_bareiss(M):
         pivots.append((r, c))
         prev = piv
         r += 1
-    return pivots, len(pivots)
+    return pivots
 
 
 def _column_order_normalize(row):
@@ -255,7 +255,7 @@ def _polynomial_matrices(goldens):
     out += [build_stack(model, 1, size_cap=256).O
             for model in random_models(30)]
     out.append(_hand_built_matrix())
-    return [_to_poly_rows(M)[0] for M in out]
+    return [[clear_denominators(row)[0] for row in M] for M in out]
 
 
 def test_sparse_bareiss_update_matches_dense_oracle(goldens):
@@ -323,3 +323,40 @@ def test_point_rank_certifies_empty_null_spaces(goldens, monkeypatch):
             assert (got.rows, got.rank, got.dimension) == \
                    (want.rows, want.rank, want.dimension)
     assert certified >= 5
+
+
+def _reversed_pivot_weight(p):
+    """The opposite cost rule: highest degree, then most terms, first."""
+    return (-p.total_degree(), -len(p.terms))
+
+
+def test_nullspace_does_not_depend_on_the_pivot_rule(goldens, monkeypatch):
+    # the basis rows are the free-column kernel vectors, primitive and
+    # sign-normalised, so the pivot rule may only change the cost; the
+    # echelon forms must differ somewhere, or no choice was exercised
+    matrices = [build_stack(model, w).O
+                for model in goldens.values() for w in range(1, 6)]
+    matrices += [build_stack(model, 1, size_cap=256).O
+                 for model in random_models(30) + signal_models()]
+    # C of rank 1: at w = 0 the two rules pivot on different rows of C^T
+    matrices += [build_stack(parse_model(RANK_DEFICIENT_C), w).O
+                 for w in range(4)]
+    monkeypatch.setattr(elimination, "_full_row_rank_at_a_point",
+                        lambda M: False)
+
+    def run(M, weight):
+        monkeypatch.setattr(elimination, "_pivot_weight", weight)
+        T = [list(col) for col in zip(*(clear_denominators(row)[0]
+                                        for row in M))]
+        _bareiss_echelon(T)
+        b = left_nullspace(M)
+        return T, [[expr_text(e) for e in row] for row in b.rows], \
+            b.rank, b.dimension
+
+    echelons_differ = 0
+    for M in matrices:
+        T, *want = run(M, _pivot_weight)
+        T_reversed, *got = run(M, _reversed_pivot_weight)
+        assert got == want
+        echelons_differ += T != T_reversed
+    assert echelons_differ > 0

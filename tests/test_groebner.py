@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (GOLDEN_NAMES, is_canonical_coefficient, is_groebner,
-                      model_path)
-from lpvident.classify import evaluate_summary
+from conftest import (GOLDEN_NAMES, chain_model, is_canonical_coefficient,
+                      is_groebner, model_path)
+from lpvident.classify import draw_theta_ref, evaluate_summary
 from lpvident.cli import main
 from lpvident.elimination import left_nullspace
 from lpvident.errors import BudgetExceeded
@@ -340,7 +340,7 @@ def _all_pairs_basis(generators, variables):
             basis.append(r.monic())
             leads.append(r.leading()[0])
             pairs |= {(t, k) for t in range(k)}
-    return [gpoly_text(g) for g in _inter_reduce(basis, leads)], reductions
+    return [gpoly_text(g) for g in _inter_reduce(basis)], reductions
 
 
 def _random_ideal(rng):
@@ -378,6 +378,24 @@ def test_pair_heap_matches_all_pairs_oracle(goldens):
         assert gb.pair_reductions <= oracle_reductions, name
         fewer += gb.pair_reductions < oracle_reductions
     assert fewer
+
+
+def test_basis_does_not_depend_on_generator_order(goldens):
+    # a reduced lex basis is unique, so shuffled generators give the same
+    # basis; only the cost moves, so the pair reduction count is not compared
+    rng = random.Random(20261021)
+    models = list(goldens.values()) + [
+        chain_model(n, d) for n in (2, 3) for d in ("continuous", "discrete")]
+    for model in models:
+        summ, params = _summary_and_params(model, model.n + 1)
+        numeric = evaluate_summary(summ, params, draw_theta_ref(params, rng))
+        for gens in (numeric, evaluate_summary(summ, params)):
+            for target in params:
+                seq = [p for p in params if p != target] + [target]
+                want = groebner_basis(gens, seq).texts()
+                for _ in range(6):
+                    shuffled = rng.sample(gens, len(gens))
+                    assert groebner_basis(shuffled, seq).texts() == want
 
 
 def test_pair_budget_counts_performed_reductions(capsys):
