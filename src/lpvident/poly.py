@@ -19,11 +19,18 @@ coefficients goes through `exact_quotient`, since int / int is a float.  A
 product of two multi-term polynomials writes each operand as integer
 numerators over one common denominator (the lcm of its coefficient
 denominators, 1 for ints alone), sums the products as ints and divides
-only when that denominator is above 1; when one operand has one term, no
-two products merge and the coefficients multiply directly, or are copied
-when that term's is 1.  Exact division follows the same split: a one-term
-divisor divides each term by its monomial, and a longer one runs long
-division on a single remainder dict updated in place.  Evaluation at
+only when that denominator is above 1.  It sums them under packed keys
+(Monagan and Pearce's packed exponent vectors): each indeterminate of
+either operand gets one bit field of width (top_a + top_b).bit_length(),
+top the largest exponent of an operand, so the sum of two keys never
+carries and equal sums are equal product monomials; each term is encoded
+once, a key whose sum reaches zero is deleted as it goes, and `mono_mul`
+runs once per surviving key, on a term pair that formed it.  When one
+operand has one term, no two products merge and the coefficients
+multiply directly, or are copied when that term's is 1.  Exact division
+follows the same split: a one-term divisor divides each term by its
+monomial, and a longer one runs long division on a single remainder dict
+updated in place.  Evaluation at
 rational values makes the same split: a one-term polynomial multiplies out,
 a longer one computes the integer value of each term over one common
 denominator (`term_values`) and makes one Fraction of their sum.  All
@@ -45,7 +52,9 @@ result is rebuilt with (v, d) appended to each coefficient monomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd, lcm
+from operator import itemgetter
 
 from .errors import (ExactDivisionError, UnboundIndeterminate,
                      ZeroPolynomialError)
@@ -54,6 +63,8 @@ from .indets import Indeterminate, Kind
 Monomial = tuple  # tuple[tuple[Indeterminate, int], ...]
 
 MONO_ONE: Monomial = ()
+
+_exponent = itemgetter(1)   # of an (indeterminate, exponent) pair
 
 
 def mono_degree(m: Monomial) -> int:
@@ -271,22 +282,44 @@ class Polynomial:
         # integer numerators over one common denominator per operand
         da, na = _over_common_denominator(self.terms)
         db, nb = _over_common_denominator(other.terms)
+        # packed keys (see the module docstring); a multi-term operand
+        # holds an indeterminate, so each max has an argument; the field
+        # layout never reaches the result, whose terms come in the order of
+        # the pair loop
+        fa = dict.fromkeys(chain.from_iterable(self.terms))
+        fb = dict.fromkeys(chain.from_iterable(other.terms))
+        width = (max(map(_exponent, fa))
+                 + max(map(_exponent, fb))).bit_length()
+        unit: dict = {}
+        code: dict = {}
+        for ve in chain(fa, fb):
+            v, e = ve
+            if v not in unit:
+                unit[v] = 1 << width * len(unit)
+            code[ve] = e * unit[v]
+        key = code.__getitem__
+        inner = [(sum(map(key, m2)), m2, b) for m2, b in nb]
         acc: dict = {}
+        first: dict = {}
         for m1, a in na:
-            for m2, b in nb:
-                m = mono_mul(m1, m2)
-                if m in acc:
-                    s = acc[m] + a * b
+            k1 = sum(map(key, m1))
+            for k2, m2, b in inner:
+                k = k1 + k2
+                if k in acc:
+                    s = acc[k] + a * b
                     if s:
-                        acc[m] = s
+                        acc[k] = s
                     else:
-                        del acc[m]
+                        del acc[k]
                 else:
-                    acc[m] = a * b
+                    acc[k] = a * b
+                    first[k] = m1, m2
         d = da * db
         if d == 1:
-            return Polynomial._of(acc)
-        return Polynomial._of({m: exact_quotient(c, d) for m, c in acc.items()})
+            return Polynomial._of({mono_mul(*first[k]): c
+                                   for k, c in acc.items()})
+        return Polynomial._of({mono_mul(*first[k]): exact_quotient(c, d)
+                               for k, c in acc.items()})
 
     __rmul__ = __mul__
 

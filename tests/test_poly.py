@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import is_canonical_coefficient, mono_of
+from lpvident import poly
 from lpvident.errors import ExactDivisionError, UnboundIndeterminate
 from lpvident.indets import (Indeterminate, Kind, Role, parameter,
                              ref_parameter, signal)
@@ -711,6 +712,47 @@ def test_product_matches_fraction_double_loop():
     for _ in range(300):
         cases.append((rand_terms(rng.random() < 0.5),
                       rand_terms(rng.random() < 0.5)))
+    # exponent sums at the edge of a packed field: theta1^a*theta1^b, with
+    # a + b a power of two, sits next to the field of u, which a carry
+    # would reach
+    for ea, eb in ((1, 1), (4, 4), (3, 5), (2 ** 40, 2 ** 40)):
+        x_a = P({(): 1, ((TH1, ea),): 2, ((U, 1),): -1, ((TH1, 1), (U, 1)): 3})
+        x_b = P({(): 1, ((TH1, eb),): 5, ((U, 1),): 1})
+        cases += [(x_a, x_b), (x_b, x_a), (x_a, x_a), (x_b, x_b)]
+    # 24 indeterminates: packed keys exceed 64 bits
+    many = [parameter("theta", k) for k in range(1, 25)]
+
+    def rand_wide():
+        # one term holds every indeterminate at exponent 2 or 3
+        full = mono_of({v: rng.randint(2, 3) for v in many})
+        return P({full: 1, **{
+            mono_of({v: rng.randint(1, 3)
+                     for v in rng.sample(many, rng.randint(0, 24))}):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 7))}})
+    for _ in range(20):
+        x, y = rand_wide(), rand_wide()
+        width = (max(e for m in x.terms for _, e in m)
+                 + max(e for m in y.terms for _, e in m)).bit_length()
+        assert width * len(many) > 64
+        cases.append((x, y))
+    # operands with disjoint indeterminate sets
+    cases += [(pv(TH1) + pv(TH2, 2) + 1, pv(U) - pv(Y) * pv(X2)),
+              (pv(U, 3) - 2, pv(TH1) * pv(TH2) + pv(TH3).scale(Fraction(1, 2)))]
+    # a dense square: the 35 monomials of degree at most 4 in three
+    # indeterminates
+    dense = P({mono_of({TH1: i, U: j, Y: k}):
+               Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 3))
+               for i in range(5) for j in range(5 - i) for k in range(5 - i - j)})
+    assert len(dense.terms) == 35
+    cases.append((dense, dense))
+    # (1 + t - t^2)^2 with t = theta1: t^2 cancels at t*t and comes back
+    # at -t^2*1, after t^3, so a product that keeps the cancelled entry
+    # has another order
+    once = P({(): 1, ((TH1, 1),): 1, ((TH1, 2),): -1})
+    assert list(_oracle_product(once, once)) == [
+        (), ((TH1, 1),), ((TH1, 3),), ((TH1, 2),), ((TH1, 4),)]
+    cases.append((once, once))
     for x, y in cases:
         got = (x * y).terms
         want = _oracle_product(x, y)
@@ -724,6 +766,22 @@ def test_product_matches_fraction_double_loop():
     third = a.scale(Fraction(1, 3))
     assert (third * b.scale(Fraction(3, 2)) - (a * b).scale(Fraction(1, 2))
             ).is_zero()
+
+
+def test_product_merges_each_distinct_monomial_once(monkeypatch):
+    # p = (1 + x + u + theta1)^3 has 20 terms; p*p has 400 term pairs but
+    # only the 84 monomials of degree at most 6 in three indeterminates
+    p = (1 + pv(X2) + pv(U) + pv(TH1)) ** 3
+    assert len(p.terms) == 20
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return mono_mul(a, b)
+    monkeypatch.setattr(poly, "mono_mul", counting)
+    sq = p * p
+    assert len(sq.terms) == 84
+    assert len(calls) == 84
 
 
 def test_one_term_product_matches_term_by_term_product():
