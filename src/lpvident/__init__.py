@@ -28,7 +28,7 @@ from .poly import (Polynomial, collect, exact_div, poly_gcd, poly_lcm,
                    poly_text)
 from .stacking import StackedSystem, build_stack
 from .verify import (BacksubReport, TrajectoryReport, backsubstitute_check,
-                     discrete_trajectory_check, output_closure,
+                     discrete_trajectory_check, output_closure, settle,
                      stack_substitution_check)
 
 __version__ = "0.1.0"
@@ -51,6 +51,6 @@ __all__ = [
     "left_nullspace", "output_closure",
     "parameter", "parse_model", "poly_gcd", "poly_lcm", "poly_text",
     "print_model", "rank_rational", "reduce_gpoly", "ref_parameter",
-    "s_polynomial",
+    "s_polynomial", "settle",
     "signal", "stack_substitution_check", "univariate_members",
 ]

@@ -9,8 +9,11 @@ parameters (symbolic mode); only then is it an Expression, a rational
 function of those parameters, and one that arithmetic leaves constant
 drops back to a number.  Pairs come from a heap keyed by their lcm,
 computed once when the pair is made, so the smallest lcm is processed
-first.  The coprime-leading-term criterion discards product pairs, and
-Buchberger's chain criterion (Cox, Little and O'Shea, Ideals, Varieties,
+first.  A pair's lcm is at least each of its two leading monomials, so an
+input generator's pairs are made only once the smallest pending lcm
+reaches its leading monomial; the pairs are popped in the same order as
+from a heap of every pair.  The coprime-leading-term criterion discards
+product pairs, and Buchberger's chain criterion (Cox, Little and O'Shea, Ideals, Varieties,
 and Algorithms, ch. 2 section 10) skips a pair (i, j) whose lcm some third
 leading term divides when neither (i, k) nor (j, k) is still pending.
 Every generator is made monic when it joins the basis, so reduction and
@@ -213,12 +216,30 @@ def groebner_basis(generators: list, variables,
     point = _point_basis(basis, leads, generators)
     if point is not None:
         return GroebnerBasis(point, variables)
-    pairs = [(_lcm(leads[i], leads[j]), i, j)
-             for j in range(len(basis)) for i in range(j)]
-    heapq.heapify(pairs)
-    pending = {(i, j) for _, i, j in pairs}
+    # input generators join the pairs by increasing leading monomial; until
+    # one joins, every pair it is part of counts as pending
+    waiting = sorted(range(len(basis)), key=leads.__getitem__, reverse=True)
+    joined: set = set()
+    pairs: list = []
+    pending: set = set()
+
+    def join(k: int) -> None:
+        for t in joined:
+            pair = (min(t, k), max(t, k))
+            heapq.heappush(pairs, (_lcm(leads[t], leads[k]), *pair))
+            pending.add(pair)
+        joined.add(k)
+
+    def is_pending(a: int, b: int) -> bool:
+        return (a not in joined or b not in joined
+                or (min(a, b), max(a, b)) in pending)
+
     reductions = 0
-    while pairs:
+    while True:
+        while waiting and (not pairs or leads[waiting[-1]] <= pairs[0][0]):
+            join(waiting.pop())
+        if not pairs:
+            break
         # normal selection: smallest lcm under the order
         lcm, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
@@ -226,8 +247,7 @@ def groebner_basis(generators: list, variables,
         if lcm == tuple(map(add, mi, mj)):
             continue  # coprime leading terms: S-polynomial reduces to zero
         if any(k != i and k != j and _divides(mk, lcm)
-               and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending
+               and not is_pending(i, k) and not is_pending(j, k)
                for k, mk in enumerate(leads)):
             continue  # chain criterion: (i, k) and (k, j) already cover it
         if reductions >= pair_budget:
@@ -248,9 +268,7 @@ def groebner_basis(generators: list, variables,
             point = _point_basis(basis, leads, generators)
             if point is not None:
                 return GroebnerBasis(point, variables, reductions)
-        for t in range(k):
-            heapq.heappush(pairs, (_lcm(leads[t], leads[k]), t, k))
-            pending.add((t, k))
+        join(k)
 
     return GroebnerBasis(_inter_reduce(basis), variables, reductions)
 

@@ -1,16 +1,21 @@
 """Independent checks on pipeline results.
 
-Back-substitution rebuilds each output derivative or shift directly from
-the state equations and substitutes it into the I-O-P equations; the result
-must cancel to exactly zero, which certifies state elimination without
-reusing any null-space computation.  The closure follows one rule in both
-time domains: at order j the relations y = C x + D u and x^(1) = A x + B u,
-differentiated or shifted j times, get the closure built so far
-substituted (x^(1..j) and the outputs y^(0..j) that A and B may hold),
-which gives y^(j) and x^(j+1).  The stack check substitutes the same
-closure into one residual Y0 + G U - O X per row of the stacked system:
-one order-w closure, built once per verifier run, serves both symbolic
-checks, since the order-w closure holds every y^(j) and x^(j) with j <= w.
+Back-substitution removes the states and outputs from each I-O-P equation
+through the model relations; the result must cancel to exactly zero, which
+certifies state elimination without reusing any null-space computation.
+The closure is the one-step map of the model relations, built by one rule
+in both time domains: y^(j) maps to y = C x + D u differentiated or
+shifted j times, with x^(j) replaced by its own value, and x^(j+1) to
+x^(1) = A x + B u stepped j times, so besides order-0 states every value
+holds only outputs and states of lower order than its key.  `settle` substitutes the keys one
+order at a time, from the highest order down, and stops once the
+expression is zero; the composed substitutions give the same canonical
+Expression as substituting fully expanded values, but a correct equation
+can cancel at its top orders before anything is expanded.  The stack
+check settles one residual Y0 + G U - O X per row of the stacked system:
+a correct row is its own stepped relation, so it cancels after its top
+order.  One order-w closure, built once per verifier run, serves both
+symbolic checks, since it holds every y^(j) and x^(j) with j <= w.
 For discrete models a second, purely numeric oracle evaluates each
 equation on independent (w+1)-step exact rational trajectory segments from
 fresh random states.
@@ -35,8 +40,11 @@ def _affine(M, N, xs: list, us: list) -> list:
 
 def output_closure(model: LpvModel, max_order: int) -> dict:
     """Map output indeterminates y^(j), j <= max_order, and state
-    indeterminates x^(j), 1 <= j <= max_order, to expressions in states
-    (order 0), inputs and scheduling signals only."""
+    indeterminates x^(j), 1 <= j <= max_order, to their one-step values:
+    y^(j) to y = C x + D u stepped j times with x^(j) replaced, x^(j+1) to
+    x^(1) = A x + B u stepped j times.  Besides order-0 states, inputs and
+    scheduling signals, a value holds only keys of lower order than its
+    own; `settle` reduces an expression by them to order-0 states."""
     step = Expression.shift if model.discrete else Expression.differentiate
     states, outputs = model.states(), model.outputs()
     xs = [Expression.var(s) for s in states]
@@ -46,15 +54,42 @@ def output_closure(model: LpvModel, max_order: int) -> dict:
     x_rel = _affine(model.A, model.B, xs, us)
     closure: dict = {}
     for j in range(max_order + 1):
-        ys = [e.substitute(closure) for e in y_rel]
-        closure.update(zip((y.with_order(j) for y in outputs), ys))
+        x_j = {s.with_order(j): closure[s.with_order(j)]
+               for s in states} if j else {}
+        closure.update(zip((y.with_order(j) for y in outputs),
+                           (e.substitute(x_j) for e in y_rel)))
         if j == max_order:
             break
-        x_next = [e.substitute(closure) for e in x_rel]
-        closure.update(zip((s.with_order(j + 1) for s in states), x_next))
+        closure.update(zip((s.with_order(j + 1) for s in states), x_rel))
         y_rel = [step(e) for e in y_rel]
         x_rel = [step(e) for e in x_rel]
     return closure
+
+
+def _levels(closure: dict) -> list:
+    """The closure's bindings grouped by order, highest order first."""
+    levels: dict = {}
+    for v, e in closure.items():
+        levels.setdefault(v.order, {})[v] = e
+    return [levels[k] for k in sorted(levels, reverse=True)]
+
+
+def _settle(e: Expression, levels: list) -> Expression:
+    for bindings in levels:
+        if e.is_zero():
+            break
+        e = e.substitute(bindings)
+    return e
+
+
+def settle(e: Expression, closure: dict) -> Expression:
+    """e with every key of closure substituted, one order at a time from
+    the highest down, so only order-0 states remain; stops once e is zero.
+
+    closure is an `output_closure`; the result is the canonical Expression
+    that substituting the fully expanded values would give.
+    """
+    return _settle(e, _levels(closure))
 
 
 @dataclass
@@ -64,25 +99,28 @@ class BacksubReport:
 
 
 def backsubstitute_check(closure: dict, iop: IopSet) -> BacksubReport:
-    """Substitute model-implied output expressions into each equation.
+    """Settle each equation by the model-implied output values.
 
     closure is `output_closure(model, iop.order)`: the equations hold
     outputs of order at most w, and the order-w closure maps every one.
     """
-    residuals = [Expression(psi).substitute(closure) for psi in iop.equations]
+    levels = _levels(closure)
+    residuals = [_settle(Expression(psi), levels) for psi in iop.equations]
     return BacksubReport(all(r.is_zero() for r in residuals), residuals)
 
 
 def stack_substitution_check(closure: dict, stack: StackedSystem) -> bool:
     """Row-wise: Y0 + G U - O X vanishes under the model dynamics.
 
-    One `dot` per row gives its residual.  The stack at order w holds
-    y^(0..w) and x^(0..w), with A and B shifted or differentiated at most
-    w - 1 times, so closure is `output_closure(model, stack.order)`.
+    One `dot` per row gives its residual, which is settled.  The stack at
+    order w holds y^(0..w) and x^(0..w), with A and B shifted or
+    differentiated at most w - 1 times, so closure is
+    `output_closure(model, stack.order)`.
     """
+    levels = _levels(closure)
     values = [E_ONE, *(Expression.var(u) for u in stack.U),
               *(-Expression.var(x) for x in stack.X)]
-    return all(dot([y, *g_row, *o_row], values).substitute(closure).is_zero()
+    return all(_settle(dot([y, *g_row, *o_row], values), levels).is_zero()
                for y, g_row, o_row in zip(stack.Y0, stack.G, stack.O))
 
 

@@ -413,3 +413,26 @@ def test_pair_budget_counts_performed_reductions(capsys):
     budgeted.pop("config")
     default.pop("config")
     assert budgeted == default
+
+
+def test_pairs_wait_for_their_leading_monomials(goldens, monkeypatch):
+    # a pair's lcm is at least each of its leading monomials, so a
+    # generator's pairs are made only once the smallest pending lcm reaches
+    # its own: air_handling_unit at w = 3 has 15 generators (105 pairs)
+    # and a maximal ideal after one reduction, so few lcms are formed, and
+    # the basis and the reduction count are those of every pair made first
+    summ, params = _summary_and_params(goldens["air_handling_unit"], 3)
+    gens = evaluate_summary(summ, params)
+    want, _ = _all_pairs_basis(gens, params)
+    calls = []
+    real = importlib.import_module("lpvident.groebner")._lcm
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr("lpvident.groebner._lcm", counting)
+    gb = groebner_basis(gens, params)
+    assert gb.texts() == want
+    assert gb.pair_reductions == 1
+    assert len(calls) < 10

@@ -10,14 +10,14 @@ from conftest import (CHAIN4_DISCRETE, chain_model, load_model,
 from lpvident import verify
 from lpvident.elimination import left_nullspace
 from lpvident.errors import DenominatorVanishes, ModelError
-from lpvident.expr import Expression, expr_text
+from lpvident.expr import E_ONE, Expression, dot, expr_text
 from lpvident.indets import Kind, Role, signal
 from lpvident.iop import IopSet, form_iop
 from lpvident.model import parse_model
 from lpvident.poly import Polynomial
 from lpvident.stacking import build_stack
 from lpvident.verify import (backsubstitute_check, discrete_trajectory_check,
-                             output_closure, stack_substitution_check)
+                             output_closure, settle, stack_substitution_check)
 
 
 def _iop(model, w=2):
@@ -30,6 +30,18 @@ def _corrupt(iop):
     return IopSet(bumped, iop.order, iop.discrete)
 
 
+def _settled(closure):
+    """Each closure key settled to order-0 states: the expanded closure."""
+    return {v: settle(Expression.var(v), closure) for v in closure}
+
+
+def _assert_one_step(closure):
+    """Every value holds only keys of lower order than its own key."""
+    for v, e in closure.items():
+        held = [x for x in e.indeterminates() if x in closure]
+        assert all(x.order < v.order for x in held), (v, held)
+
+
 def test_output_closure_continuous(product_coupling):
     cl = output_closure(product_coupling, 2)
     y = signal("y", Role.OUTPUT)
@@ -37,10 +49,12 @@ def test_output_closure_continuous(product_coupling):
     assert set(cl) == {y, y.with_order(1), y.with_order(2),
                        x1.with_order(1), x2.with_order(1),
                        x1.with_order(2), x2.with_order(2)}
-    assert expr_text(cl[y]) == "u*x1"
-    assert expr_text(cl[y.with_order(1)]) == \
+    _assert_one_step(cl)
+    full = _settled(cl)
+    assert expr_text(full[y]) == "u*x1"
+    assert expr_text(full[y.with_order(1)]) == \
         "theta2*u^2*x2 + theta1*u*x1 + u'*x1"
-    assert expr_text(cl[y.with_order(2)]) == (
+    assert expr_text(full[y.with_order(2)]) == (
         "theta2*theta3*u^2*x1 + theta1*theta2*u^2*x2 + 3*theta2*u*u'*x2"
         " - theta2*u^2*x2 + theta1^2*u*x1 + 2*theta1*u'*x1 + u''*x1")
 
@@ -49,11 +63,13 @@ def test_output_closure_discrete(henon):
     cl = output_closure(henon, 2)
     y = signal("y", Role.OUTPUT)
     d = True
-    assert expr_text(cl[y], d) == "x1[k]"
-    assert expr_text(cl[y.with_order(1)], d) == \
+    _assert_one_step(cl)
+    full = _settled(cl)
+    assert expr_text(full[y], d) == "x1[k]"
+    assert expr_text(full[y.with_order(1)], d) == \
         "theta1*x1[k]^2 + theta2*x2[k] + u[k]"
     # second shift re-enters the dynamics through the premise output
-    two = expr_text(cl[y.with_order(2)], d)
+    two = expr_text(full[y.with_order(2)], d)
     assert "theta1^3*x1[k]^4" in two and "u[k+1]" in two
 
 
@@ -147,8 +163,9 @@ _CLOSURE_CASES = [("henon", load_model("henon"), 4),
                          ids=[c[0] for c in _CLOSURE_CASES])
 def test_carried_shifts_match_repeated_shifts(model, top):
     for w in range(top + 1):
-        assert output_closure(model, w) == _nshift_closure(model, w), \
-            f"order {w}"
+        cl = output_closure(model, w)
+        _assert_one_step(cl)
+        assert _settled(cl) == _nshift_closure(model, w), f"order {w}"
 
 
 _CONTINUOUS_SIGNALS = [m for m in signal_models() if not m.discrete]
@@ -166,14 +183,18 @@ _DERIVATIVE_CASES = (
 def test_stepped_derivatives_match_total_derivatives(model, top):
     for w in range(top + 1):
         want = _total_derivative_closure(model, w)
-        assert output_closure(model, w) == want, f"order {w}"
+        cl = output_closure(model, w)
+        _assert_one_step(cl)
+        assert _settled(cl) == want, f"order {w}"
 
 
 def test_closure_variables_are_order_zero(goldens):
+    # settling leaves states of order 0, inputs and scheduling signals only
     for model in goldens.values():
         cl = output_closure(model, 2)
+        _assert_one_step(cl)
         allowed_roles = {Role.STATE, Role.INPUT, Role.SCHEDULING}
-        for expr in cl.values():
+        for expr in _settled(cl).values():
             for v in expr.indeterminates():
                 if v.kind is not Kind.SIGNAL:
                     continue
@@ -202,10 +223,13 @@ def test_backsubstitution_rejects_corrupted_equation(product_coupling,
 
 
 def test_stack_substitution_goldens(goldens):
-    # the rational models stop at order 2: their order-3 residuals take
-    # seconds (continuous) to minutes (discrete) to substitute
+    # the continuous rational model stops at order 2: its order-3 stack
+    # takes seconds to build and settle; a correct discrete row settles at
+    # its top order, so the discrete one runs order 3 in milliseconds
+    continuous, discrete = rational_models()
     cases = [(m, w) for m in goldens.values() for w in (1, 2, 3)]
-    cases += [(m, w) for m in rational_models() for w in (1, 2)]
+    cases += [(continuous, w) for w in (1, 2)]
+    cases += [(discrete, w) for w in (1, 2, 3)]
     for model, w in cases:
         s = build_stack(model, w)
         assert stack_substitution_check(output_closure(model, w), s)
@@ -239,17 +263,67 @@ def test_order_w_closure_matches_smallest_closure(goldens, henon):
         assert not got.ok
 
 
+def _block_rows(model, w):
+    """The first rows of the first and last output blocks and of the first
+    and last state blocks of the order-w stack."""
+    p, n = len(model.outputs()), model.n
+    return [0, w * p, (w + 1) * p, (w + 1) * p + (w - 1) * n]
+
+
 def test_stack_substitution_rejects_corrupted_stack(henon, product_coupling):
-    # one A-block entry of O gains 1: that row no longer follows the model
+    # one entry of O gains 1, in the first and last output blocks and the
+    # first and last state blocks: that row no longer follows the model
+    w = 2
     for model in (henon, product_coupling, *rational_models()):
-        s = build_stack(model, 2)
-        closure = output_closure(model, 2)
+        s = build_stack(model, w)
+        closure = output_closure(model, w)
         assert stack_substitution_check(closure, s)
-        row = 3 * len(model.outputs())   # the first A-block row follows y^(0..2)
-        O = [list(r) for r in s.O]
-        O[row][0] = O[row][0] + 1
-        bad = dataclasses.replace(s, O=O)
-        assert not stack_substitution_check(closure, bad)
+        for row in _block_rows(model, w):
+            O = [list(r) for r in s.O]
+            O[row][0] = O[row][0] + 1
+            bad = dataclasses.replace(s, O=O)
+            assert not stack_substitution_check(closure, bad), row
+
+
+def _expanded_closure(model, w):
+    return (_nshift_closure(model, w) if model.discrete
+            else _total_derivative_closure(model, w))
+
+
+def test_settled_residuals_match_expanded_closure(goldens):
+    # settling order by order composes the substitution of the expanded
+    # closure, so corrupted equations and stack rows leave the same
+    # residual Expressions either way, not only the same zero test
+    w = 2
+    for model in goldens.values():
+        s, iop = _iop(model, w)
+        closure, full = output_closure(model, w), _expanded_closure(model, w)
+        y = signal(model.output_names[0], Role.OUTPUT)
+        y_top = Polynomial.var(y.with_order(w))
+        bumped = IopSet([psi + y_top * Polynomial.var(y) for psi in
+                         iop.equations], iop.order, iop.discrete)
+        for eqs in (iop, _corrupt(iop), bumped):
+            want = [Expression(psi).substitute(full) for psi in eqs.equations]
+            assert backsubstitute_check(closure, eqs).residuals == want
+        # the last column of O is x_n^(w): every row gains a top-order state
+        values = [E_ONE, *(Expression.var(u) for u in s.U),
+                  *(-Expression.var(x) for x in s.X)]
+        for y0, g_row, o_row in zip(s.Y0, s.G, s.O):
+            r = dot([y0, *g_row, *o_row[:-1], o_row[-1] + 1], values)
+            got = settle(r, closure)
+            assert got == r.substitute(full)
+            assert not got.is_zero()
+
+
+def test_henon_checks_at_order_8(henon):
+    # henon's A holds theta1*y: the expanded closure doubles its degree at
+    # every order, while its equations and rows cancel at their top orders
+    w = 8
+    s, iop = _iop(henon, w)
+    closure = output_closure(henon, w)
+    assert backsubstitute_check(closure, iop).ok
+    assert stack_substitution_check(closure, s)
+    assert not backsubstitute_check(closure, _corrupt(iop)).ok
 
 
 def test_trajectory_check_discrete(henon, burgers):
